@@ -5,7 +5,7 @@
 GO ?= go
 FLASHVET ?= bin/flashvet
 
-.PHONY: build test vet lint lint-json flashvet race race-hot pred-race checkstrict bench bench-record check fuzz chaos chaos-random ckpt-chaos shard-chaos soak apicheck
+.PHONY: build test vet lint lint-json flashvet race race-hot pred-race checkstrict bench bench-e2e bench-smoke bench-compare bench-record check fuzz chaos chaos-random ckpt-chaos shard-chaos soak apicheck
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,25 @@ pred-race:
 # hot path against regressions (metrics disabled).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# The repository's one end-to-end benchmark (bench/README.md): all four
+# workloads, every end-to-end metric, correctness-gated; builds into
+# .bench_build/ and writes bench/out/result-<unix time>.json.
+bench-e2e:
+	bash bench/run.sh
+
+# Its smoke tier: every workload at tiny size plus the registry/
+# BENCHMARK.json agreement, in seconds. bench/ is a module of its own,
+# so `go test ./...` at the root does not reach it.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
+# Paired comparison of two result files recorded with
+# `bash bench/run.sh -runs 10 -out <file>` on two commits, sides
+# alternated: make bench-compare OLD=parent.json NEW=change.json
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=<old.json[,more]> NEW=<new.json[,more]>" >&2; exit 2; }
+	bash bench/run.sh -compare $(OLD) $(NEW)
 
 # Append a work-stealing scheduler scaling measurement and a BDD GC
 # measurement (peak/steady node counts, pause p95, GC-vs-Compact cost)

@@ -69,6 +69,15 @@ type diffConfig struct {
 	workers, batch int
 	budget         int           // WithMemoryBudget; 0 disables automatic GC
 	mode           PredicateMode // predicate representation strategy
+	subspaces      int           // WithSubspaces; 0 means diffSubspaces
+}
+
+// subs is the row's subspace count.
+func (c diffConfig) subs() int {
+	if c.subspaces == 0 {
+		return diffSubspaces
+	}
+	return c.subspaces
 }
 
 // diffConfigs is the scheduler/batching/GC/representation matrix under
@@ -78,6 +87,10 @@ type diffConfig struct {
 // hybrid rows run the same workload on Delta-net-style interval atoms
 // (the churn workloads are pure prefix, so the atom path stays live
 // end-to-end), proving representation changes cost but never verdicts.
+// The subspace rows vary how finely the header space is partitioned —
+// and with it how much route-before-compile prunes: nothing at one
+// subspace, seven workers in eight at eight — proving routing changes
+// who compiles an update but never what is computed.
 func diffConfigs() []diffConfig {
 	var cfgs []diffConfig
 	for _, wk := range []int{1, 4, runtime.NumCPU()} {
@@ -86,8 +99,11 @@ func diffConfigs() []diffConfig {
 		}
 	}
 	cfgs = append(cfgs,
-		diffConfig{workers: 1, batch: 1, budget: 64},
-		diffConfig{workers: 4, batch: 16, budget: 64},
+		// A routed worker compiles only the prefixes that reach its own
+		// subspace, so its engine holds a fraction of what it did when every
+		// worker compiled every update; the budget is sized to that.
+		diffConfig{workers: 1, batch: 1, budget: 32},
+		diffConfig{workers: 4, batch: 16, budget: 32},
 		diffConfig{workers: 1, batch: 1, mode: PredicateHybrid},
 		diffConfig{workers: 4, batch: 16, mode: PredicateHybrid},
 		// Atoms are far more compact than BDD nodes (that is the point of
@@ -95,6 +111,12 @@ func diffConfigs() []diffConfig {
 		// few blocks on BDDs must be far tighter here to trip at all.
 		diffConfig{workers: 4, batch: 16, budget: 8, mode: PredicateHybrid},
 	)
+	for _, n := range []int{1, 2, 8} {
+		cfgs = append(cfgs,
+			diffConfig{workers: 4, batch: 16, subspaces: n},
+			diffConfig{workers: 4, batch: 16, subspaces: n, mode: PredicateHybrid},
+		)
+	}
 	return cfgs
 }
 
@@ -141,7 +163,7 @@ func TestDifferentialModelOracle(t *testing.T) {
 			b := NewModelBuilder(
 				WithTopo(fw.Topo),
 				WithLayout(fw.Layout),
-				WithSubspaces(diffSubspaces, ""),
+				WithSubspaces(cfg.subs(), ""),
 				WithWorkers(cfg.workers),
 				WithBatch(cfg.batch),
 				WithMemoryBudget(cfg.budget),
@@ -221,6 +243,33 @@ func diffStream(t *testing.T, seq []workload.DevUpdate, perEpoch int) [][]Msg {
 	return epochs
 }
 
+// feedUnrouted applies one message the way every version before
+// route-before-compile did: every subspace worker compiles every update
+// and finds out by itself which ones miss its universe. It is the
+// reference the routed FeedBatch path is held to.
+func feedUnrouted(t *testing.T, sys *System, m Msg) []Result {
+	t.Helper()
+	var out []Result
+	for _, w := range sys.workers {
+		rs, err := w.feedAll(context.Background(), []Msg{m}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rs[0]...)
+	}
+	return out
+}
+
+// applyUnrouted is feedUnrouted for a ModelBuilder.
+func applyUnrouted(t *testing.T, b *ModelBuilder, blocks []DeviceBlock) {
+	t.Helper()
+	for _, w := range b.workers {
+		if err := w.apply(blocks, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDifferentialVerdictOracle: the verdict multiset and final model
 // fingerprint must be identical across the whole workers×batch matrix,
 // including against an APKeep-style per-update reference configuration.
@@ -231,11 +280,11 @@ func TestDifferentialVerdictOracle(t *testing.T) {
 	epochs := diffStream(t, seq, 24)
 	lastEpoch := fmt.Sprintf("e%d", len(epochs))
 
-	newSys := func(extra ...Option) *System {
+	newSys := func(subspaces int, extra ...Option) *System {
 		opts := []Option{
 			WithTopo(rw.Topo),
 			WithLayout(rw.Layout),
-			WithSubspaces(diffSubspaces, ""),
+			WithSubspaces(subspaces, ""),
 			WithChecks(CheckSpec{Name: "loops", Kind: CheckLoopFree}),
 		}
 		sys, err := NewSystem(append(opts, extra...)...)
@@ -245,10 +294,13 @@ func TestDifferentialVerdictOracle(t *testing.T) {
 		return sys
 	}
 
-	run := func(sys *System, gulp bool) ([]string, string) {
+	// run feeds the stream and returns the sorted verdicts and the final
+	// fingerprint: epoch by epoch through FeedBatch, or — the reference —
+	// message by message with every worker compiling every update.
+	run := func(sys *System, reference bool) ([]string, string) {
 		var verdicts []string
 		for _, msgs := range epochs {
-			if gulp {
+			if !reference {
 				rs, err := sys.FeedBatch(context.Background(), msgs)
 				if err != nil {
 					t.Fatal(err)
@@ -259,11 +311,7 @@ func TestDifferentialVerdictOracle(t *testing.T) {
 				continue
 			}
 			for _, m := range msgs {
-				rs, err := sys.FeedContext(context.Background(), m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range rs {
+				for _, r := range feedUnrouted(t, sys, m) {
 					verdicts = append(verdicts, r.String())
 				}
 			}
@@ -276,19 +324,34 @@ func TestDifferentialVerdictOracle(t *testing.T) {
 		return verdicts, fp
 	}
 
-	// Reference: per-update processing (the APKeep-style ablation), no
-	// batching, sequential feed.
-	wantVerdicts, wantFP := run(newSys(WithPerUpdate(true), WithWorkers(1)), false)
-	if len(wantVerdicts) == 0 {
-		t.Fatal("reference run produced no verdicts")
+	// Reference, one per subspace count (results carry their subspace):
+	// per-update processing (the APKeep-style ablation), no batching, no
+	// routing, sequential feed.
+	type outcome struct {
+		verdicts []string
+		fp       string
+	}
+	references := make(map[int]outcome)
+	reference := func(subspaces int) outcome {
+		if ref, ok := references[subspaces]; ok {
+			return ref
+		}
+		v, fp := run(newSys(subspaces, WithPerUpdate(true), WithWorkers(1)), true)
+		if len(v) == 0 {
+			t.Fatalf("%d subspaces: reference run produced no verdicts", subspaces)
+		}
+		references[subspaces] = outcome{v, fp}
+		return references[subspaces]
 	}
 
 	for _, cfg := range diffConfigs() {
-		sys := newSys(WithWorkers(cfg.workers), WithBatch(cfg.batch), WithMemoryBudget(cfg.budget), WithPredicateMode(cfg.mode))
-		gotVerdicts, gotFP := run(sys, true)
+		ref := reference(cfg.subs())
+		wantVerdicts, wantFP := ref.verdicts, ref.fp
+		sys := newSys(cfg.subs(), WithWorkers(cfg.workers), WithBatch(cfg.batch), WithMemoryBudget(cfg.budget), WithPredicateMode(cfg.mode))
+		gotVerdicts, gotFP := run(sys, false)
 		if gotFP != wantFP {
-			t.Fatalf("workers=%d batch=%d budget=%d mode=%s: model fingerprint diverges from per-update reference",
-				cfg.workers, cfg.batch, cfg.budget, cfg.mode)
+			t.Fatalf("workers=%d batch=%d budget=%d mode=%s subspaces=%d: model fingerprint diverges from per-update reference",
+				cfg.workers, cfg.batch, cfg.budget, cfg.mode, cfg.subs())
 		}
 		if cfg.mode == PredicateHybrid {
 			// The churn workload is pure prefix: the atom representation
@@ -507,6 +570,268 @@ func TestDifferentialHybridMidstreamCutover(t *testing.T) {
 	for i := range wantVerdicts {
 		if gotVerdicts[i] != wantVerdicts[i] {
 			t.Fatalf("verdict multiset diverges at %d:\n  got:  %s\n  want: %s", i, gotVerdicts[i], wantVerdicts[i])
+		}
+	}
+}
+
+// diffMixedStream is the stream route-before-compile has to get right:
+// beside long prefixes (one subspace each) it carries /0, /1 and /2
+// prefixes that span several subspaces, and then a two-field ACL (third
+// of its five epochs) and a ternary rule (fourth), neither of which a
+// router may narrow: each is what cuts a hybrid subspace over to BDD,
+// whether or not it intersects the subspace. Every device reports in
+// every epoch, so verdicts are emitted throughout.
+func diffMixedStream(seed int64) (*topo.Graph, *hs.Layout, [][]Msg) {
+	g := topo.Internet2()
+	lay := hs.NewLayout(hs.Field{Name: "dst", Bits: 16}, hs.Field{Name: "src", Bits: 8})
+	rng := rand.New(rand.NewSource(seed))
+	pfx := func(value uint64, plen int) MatchDesc {
+		return MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Value: value &^ (1<<uint(16-plen) - 1), Len: plen}}
+	}
+	hop := func(dev int) fib.Action {
+		nbrs := g.Neighbors(topo.NodeID(dev))
+		if rng.Intn(5) == 0 {
+			return fib.Forward(topo.NodeID(g.N())) // deliver
+		}
+		return fib.Forward(nbrs[rng.Intn(len(nbrs))])
+	}
+	type installed struct {
+		id   int64
+		pri  int32
+		desc MatchDesc
+	}
+	long := make([][]installed, g.N())
+	nextID := int64(1)
+	insert := func(dev int, ups *[]Update, desc MatchDesc, pri int32, a fib.Action) installed {
+		r := installed{id: nextID, pri: pri, desc: desc}
+		nextID++
+		*ups = append(*ups, Update{Op: fib.Insert, Rule: Rule{ID: r.id, Pri: pri, Action: a, Desc: desc}})
+		return r
+	}
+	churn := func(dev int, ups *[]Update) {
+		for k := 0; k < 2; k++ {
+			victim := rng.Intn(len(long[dev]))
+			old := long[dev][victim]
+			*ups = append(*ups, Update{Op: fib.Delete, Rule: Rule{ID: old.id, Pri: old.pri, Desc: old.desc}})
+			plen := []int{8, 12, 16}[rng.Intn(3)]
+			long[dev][victim] = insert(dev, ups, pfx(uint64(rng.Intn(1<<16)), plen), int32(plen), hop(dev))
+		}
+	}
+	var epochs [][]Msg
+	for e := 1; e <= 5; e++ {
+		var msgs []Msg
+		for _, dev := range rng.Perm(g.N()) {
+			var ups []Update
+			switch e {
+			case 1:
+				insert(dev, &ups, pfx(0, 0), 0, fib.Drop)
+				insert(dev, &ups, pfx(uint64(rng.Intn(2))<<15, 1), 1, hop(dev))
+				insert(dev, &ups, pfx(uint64(rng.Intn(4))<<14, 2), 2, hop(dev))
+				for k := 0; k < 6; k++ {
+					plen := []int{8, 12, 16}[rng.Intn(3)]
+					long[dev] = append(long[dev], insert(dev, &ups, pfx(uint64(rng.Intn(1<<16)), plen), int32(plen), hop(dev)))
+				}
+			case 3, 4:
+				churn(dev, &ups)
+				switch {
+				case e == 3 && dev == 2:
+					insert(dev, &ups, MatchDesc{
+						{Field: "dst", Kind: fib.MatchPrefix, Value: 0x1200, Len: 8},
+						{Field: "src", Kind: fib.MatchPrefix, Value: 0x80, Len: 1}}, 41, fib.Drop)
+				case e == 4 && dev == 1:
+					insert(dev, &ups, MatchDesc{{Field: "dst", Kind: fib.MatchTernary, Value: 1, Mask: 3}}, 40, fib.Drop)
+				}
+				churn(dev, &ups)
+			default:
+				churn(dev, &ups)
+				if e == 2 {
+					insert(dev, &ups, pfx(uint64(rng.Intn(4))<<14, 2), 3, hop(dev))
+				}
+			}
+			msgs = append(msgs, Msg{Device: DeviceID(dev), Epoch: fmt.Sprintf("e%d", e), Updates: ups})
+		}
+		epochs = append(epochs, msgs)
+	}
+	return g, lay, epochs
+}
+
+// TestDifferentialRoutedMixedStream holds route-before-compile to the
+// unrouted per-update reference on the mixed stream, for a System and a
+// ModelBuilder at every subspace row of the matrix: same model
+// fingerprint, EC count, forwarding action at seeded probes and verdict
+// multiset; the hybrid rows stay on atoms through the /0–/2 prefixes and
+// then cut over in every subspace at once, exactly as when every worker
+// compiled every update.
+func TestDifferentialRoutedMixedStream(t *testing.T) {
+	g, lay, epochs := diffMixedStream(0xd1ff5)
+	const aclEpoch = 3 // 1-based: the epoch carrying the two-field rule
+	lastEpoch := fmt.Sprintf("e%d", len(epochs))
+	probes := diffHeaderProbes(lay, 0xbeef, 96)
+
+	for _, cfg := range diffConfigs() {
+		if cfg.subspaces == 0 {
+			continue // the scheduler/batching/GC rows are covered on the prefix-only stream
+		}
+		name := fmt.Sprintf("subspaces=%d mode=%s", cfg.subs(), cfg.mode)
+		wantCutovers := func(epoch int) int {
+			if cfg.mode == PredicateHybrid && epoch >= aclEpoch {
+				return cfg.subs()
+			}
+			return 0
+		}
+
+		// System.
+		newSys := func(extra ...Option) *System {
+			sys, err := NewSystem(append([]Option{WithTopo(g), WithLayout(lay), WithSubspaces(cfg.subs(), ""),
+				WithChecks(CheckSpec{Name: "loops", Kind: CheckLoopFree})}, extra...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}
+		ref := newSys(WithPerUpdate(true), WithWorkers(1))
+		sys := newSys(WithWorkers(cfg.workers), WithBatch(cfg.batch), WithPredicateMode(cfg.mode))
+		var want, got []string
+		for e, msgs := range epochs {
+			for _, m := range msgs {
+				for _, r := range feedUnrouted(t, ref, m) {
+					want = append(want, r.String())
+				}
+			}
+			rs, err := sys.FeedBatch(context.Background(), msgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rs {
+				got = append(got, r.String())
+			}
+			if n := sys.PredicateCutovers(); n != wantCutovers(e+1) {
+				t.Fatalf("%s: %d cutovers after epoch %d, want %d", name, n, e+1, wantCutovers(e+1))
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: reference run produced no verdicts", name)
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d verdicts, reference has %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: verdict multiset diverges at %d:\n  got:  %s\n  want: %s", name, i, got[i], want[i])
+			}
+		}
+		wantFP, err := ref.ModelFingerprint(lastEpoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotFP, err := sys.ModelFingerprint(lastEpoch); err != nil || gotFP != wantFP {
+			t.Fatalf("%s: model fingerprint diverges from the unrouted reference (err %v)", name, err)
+		}
+		if g, w := sys.StatsSnapshot().ECs, ref.StatsSnapshot().ECs; g != w {
+			t.Fatalf("%s: %d equivalence classes, unrouted reference %d", name, g, w)
+		}
+
+		// ModelBuilder, fed the same messages as blocks.
+		refB := NewModelBuilder(WithTopo(g), WithLayout(lay), WithSubspaces(cfg.subs(), ""), WithPerUpdate(true), WithWorkers(1))
+		b := NewModelBuilder(WithTopo(g), WithLayout(lay), WithSubspaces(cfg.subs(), ""),
+			WithWorkers(cfg.workers), WithBatch(cfg.batch), WithPredicateMode(cfg.mode))
+		for e, msgs := range epochs {
+			blocks := make([]DeviceBlock, len(msgs))
+			for i, m := range msgs {
+				blocks[i] = DeviceBlock{Device: m.Device, Updates: m.Updates}
+			}
+			applyUnrouted(t, refB, blocks)
+			if err := b.ApplyBlock(blocks); err != nil {
+				t.Fatal(err)
+			}
+			if n := b.PredicateCutovers(); n != wantCutovers(e+1) {
+				t.Fatalf("%s: builder has %d cutovers after epoch %d, want %d", name, n, e+1, wantCutovers(e+1))
+			}
+		}
+		if g, w := b.StatsSnapshot().ECs, refB.StatsSnapshot().ECs; g != w {
+			t.Fatalf("%s: builder holds %d equivalence classes, unrouted reference %d", name, g, w)
+		}
+		for d := 0; d < g.N(); d++ {
+			for _, x := range probes {
+				ga, err := b.ActionAt(DeviceID(d), x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wa, err := refB.ActionAt(DeviceID(d), x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ga != wa {
+					t.Fatalf("%s: device %d forwards %v by %v, unrouted reference by %v", name, d, x, ga, wa)
+				}
+			}
+		}
+	}
+}
+
+// TestRoutedInsertCostsOneWorker is the counter side of
+// route-before-compile: with eight subspaces a /16 insert costs predicate
+// operations in exactly one subspace worker (before, every worker
+// compiled it and ANDed it with its universe to learn it was empty), a
+// /1 insert in the four it spans, and a ternary rule — unroutable — in
+// all eight.
+func TestRoutedInsertCostsOneWorker(t *testing.T) {
+	lay := hs.NewLayout(hs.Field{Name: "dst", Bits: 16})
+	workerOps := func(b *ModelBuilder) []uint64 {
+		out := make([]uint64, len(b.workers))
+		for i, w := range b.workers {
+			w.mu.Lock()
+			out[i] = w.base.ops + w.eng.Ops()
+			w.mu.Unlock()
+		}
+		return out
+	}
+	for _, mode := range []PredicateMode{PredicateBDD, PredicateHybrid} {
+		b := NewModelBuilder(WithTopo(topo.Internet2()), WithLayout(lay), WithSubspaces(8, ""), WithPredicateMode(mode))
+		idle := workerOps(b)
+		if err := b.ApplyBlock(nil); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(workerOps(b)) != fmt.Sprint(idle) {
+			// -tags flashcheck: every applied block re-proves the EC
+			// partition in every worker, so operations no longer tell who
+			// compiled what.
+			t.Skip("the flashcheck invariant layer costs predicate operations on every block")
+		}
+		id := int64(0)
+		touched := func(desc MatchDesc) []int {
+			t.Helper()
+			id++
+			before := workerOps(b)
+			err := b.ApplyBlock([]DeviceBlock{{Device: 0, Updates: []Update{
+				{Op: fib.Insert, Rule: Rule{ID: id, Pri: int32(id), Action: fib.Drop, Desc: desc}}}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []int
+			for i, n := range workerOps(b) {
+				if n != before[i] {
+					out = append(out, i)
+				}
+			}
+			return out
+		}
+		cases := []struct {
+			desc MatchDesc
+			want []int
+		}{
+			{MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Value: 0xA123, Len: 16}}, []int{5}},
+			{MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Value: 0x2000, Len: 3}}, []int{1}},
+			{MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Value: 0x8000, Len: 1}}, []int{4, 5, 6, 7}},
+			{MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Value: 0, Len: 0}}, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+			{MatchDesc{{Field: "dst", Kind: fib.MatchTernary, Value: 1, Mask: 1}}, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		}
+		for _, tc := range cases {
+			if got := touched(tc.desc); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("mode=%s: %v cost predicate operations in workers %v, want %v", mode, tc.desc, got, tc.want)
+			}
 		}
 	}
 }

@@ -299,10 +299,7 @@ func (c *Config) subspacePreds(s *hs.Space) []bdd.Ref {
 	if 1<<uint(bits) != n {
 		panic(fmt.Sprintf("flash: subspace count %d is not a power of two", n))
 	}
-	field := c.SubspaceField
-	if field == "" {
-		field = "dst"
-	}
+	field := c.subspaceField()
 	width := c.Layout.FieldBits(field)
 	out := make([]bdd.Ref, n)
 	for i := 0; i < n; i++ {
@@ -324,28 +321,132 @@ func (c *Config) subspaceDesc(i int) fib.MatchDesc {
 	for 1<<uint(bits) < n {
 		bits++
 	}
-	field := c.SubspaceField
-	if field == "" {
-		field = "dst"
-	}
+	field := c.subspaceField()
 	width := c.Layout.FieldBits(field)
 	return fib.MatchDesc{{Field: field, Kind: fib.MatchPrefix, Value: uint64(i) << uint(width-bits), Len: bits}}
 }
 
-// atomIntervalBound caps how many disjoint intervals one compiled
-// predicate may hold before the atom representation is judged
-// unprofitable: the linear merges that make atoms fast on prefix
-// workloads degrade past a few thousand intervals per set, while a BDD
-// holds the same predicate in logarithmic depth. Exceeding the bound is
-// a cutover trigger, not an error.
-const atomIntervalBound = 1024
+// subspaceField names the header field the space is partitioned on.
+func (c *Config) subspaceField() string {
+	if c.SubspaceField == "" {
+		return "dst"
+	}
+	return c.SubspaceField
+}
+
+// route is the inclusive range of global subspace indices one update's
+// match can intersect.
+type route struct{ lo, hi int }
+
+func (r route) misses(idx int) bool { return idx < r.lo || idx > r.hi }
+
+// routeTable holds the routes of one dispatch, indexed by block (or
+// message) and then by update; nil when partitioning is off.
+type routeTable [][]route
+
+// at returns block i's routes: nil, which routes every update to every
+// worker, when there is no table.
+func (t routeTable) at(i int) []route {
+	if t == nil {
+		return nil
+	}
+	return t[i]
+}
+
+// routeUpdates routes before compile: once per dispatch, on the caller's
+// goroutine, it works out from each descriptor alone which subspaces
+// the update can reach, so the other workers skip it without compiling
+// it and ANDing it with their universe only to get False. Only a
+// descriptor that is a single prefix on the partition field is routed
+// (fib.SubspaceRange — the arithmetic the shard coordinator routes with
+// between processes). Every other descriptor goes everywhere, as
+// before: a ternary or multi-field rule is what fires an atom worker's
+// cutover whether or not it intersects the subspace, so narrowing it
+// would change which subspaces leave the atom regime. nil (no routing)
+// when partitioning is off.
+func (c *Config) routeUpdates(ups []Update) []route {
+	n := c.numSubspaces()
+	if n == 1 {
+		return nil
+	}
+	field := c.subspaceField()
+	width := c.Layout.FieldBits(field)
+	out := make([]route, len(ups))
+	for i, u := range ups {
+		out[i] = route{0, n - 1}
+		if len(u.Rule.Desc) != 1 {
+			continue
+		}
+		if lo, hi, ok := fib.SubspaceRange(u.Rule.Desc, field, width, n); ok {
+			out[i] = route{lo, hi}
+		}
+	}
+	return out
+}
+
+// routeBlocks is routeUpdates over a block list.
+func (c *Config) routeBlocks(blocks []DeviceBlock) routeTable {
+	if c.numSubspaces() == 1 {
+		return nil
+	}
+	out := make(routeTable, len(blocks))
+	for i, db := range blocks {
+		out[i] = c.routeUpdates(db.Updates)
+	}
+	return out
+}
+
+// matchCompiler is what compileUpdates needs of a subspace worker: both
+// worker kinds compile a descriptor against their universe under their
+// own lock, cutting over to BDD first when atoms cannot hold it.
+type matchCompiler interface {
+	compileLocked(fib.MatchDesc) bdd.Ref
+}
+
+// compileUpdates compiles one device's symbolic updates for subspace
+// idx (routes[i] belongs to ups[i]; nil routes everything here),
+// dropping those whose match misses the subspace: by route when the
+// prefix alone told — no compile, no predicate operation — else by the
+// compiled match coming back empty. Callers hold the worker's lock.
+func compileUpdates(w matchCompiler, idx int, ups []Update, routes []route) []fib.Update {
+	var out []fib.Update
+	for i, u := range ups {
+		if routes != nil && routes[i].misses(idx) {
+			continue
+		}
+		match := w.compileLocked(u.Rule.Desc)
+		if match == bdd.False {
+			continue
+		}
+		out = append(out, fib.Update{
+			Op: u.Op,
+			Rule: fib.Rule{
+				ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
+				Match: match, Desc: u.Rule.Desc,
+			},
+		})
+	}
+	return out
+}
+
+// compileBlocks is compileUpdates over a block list; blocks left with no
+// update in this subspace are dropped.
+func compileBlocks(w matchCompiler, idx int, blocks []DeviceBlock, routes routeTable) []fib.Block {
+	out := make([]fib.Block, 0, len(blocks))
+	for i, db := range blocks {
+		if ups := compileUpdates(w, idx, db.Updates, routes.at(i)); len(ups) > 0 {
+			out = append(out, fib.Block{Device: db.Device, Updates: ups})
+		}
+	}
+	return out
+}
 
 // atomCompile compiles a match descriptor on the atom engine,
 // reporting ok=false when the descriptor leaves the atom regime: a
-// non-prefix kind, a multi-field constraint, an interval explosion, or
-// a compile past atomIntervalBound. A malformed descriptor panics like
-// hs.Space.Compile would, keeping the two paths' failure behavior
-// aligned.
+// non-prefix kind, a multi-field constraint, or an interval explosion
+// (the engine's own compile bound included). A malformed descriptor
+// panics like hs.Space.Compile would, keeping the two paths' failure
+// behavior aligned.
 func atomCompile(am *atoms.Engine, lay *hs.Layout, desc fib.MatchDesc) (bdd.Ref, bool) {
 	if len(desc) > 1 {
 		return bdd.False, false
@@ -361,9 +462,6 @@ func atomCompile(am *atoms.Engine, lay *hs.Layout, desc fib.MatchDesc) (bdd.Ref,
 			return bdd.False, false
 		}
 		panic(fmt.Sprintf("flash: bad match descriptor %v: %v", desc, err))
-	}
-	if len(am.Intervals(r)) > atomIntervalBound {
-		return bdd.False, false
 	}
 	return r, true
 }
@@ -754,9 +852,10 @@ func (b *ModelBuilder) ApplyBlock(blocks []DeviceBlock) error {
 	b.dispatchMu.Lock()
 	defer b.dispatchMu.Unlock()
 	errs := make([]error, len(b.workers))
+	routes := b.cfg.routeBlocks(blocks)
 	for i, w := range b.workers {
 		i, w := i, w
-		b.pool.Submit(i, func() { errs[i] = w.apply(blocks) })
+		b.pool.Submit(i, func() { errs[i] = w.apply(blocks, routes) })
 	}
 	b.pool.Wait()
 	for _, err := range errs {
@@ -818,7 +917,7 @@ type DeviceBlock struct {
 	Updates []Update
 }
 
-func (w *mbWorker) apply(blocks []DeviceBlock) (err error) {
+func (w *mbWorker) apply(blocks []DeviceBlock, routes routeTable) (err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// The offline path converts a transformer panic into an error rather
@@ -828,37 +927,14 @@ func (w *mbWorker) apply(blocks []DeviceBlock) (err error) {
 			err = fmt.Errorf("flash: subspace worker panic: %v", r)
 		}
 	}()
-	compileAll := func() []fib.Block {
-		compiled := make([]fib.Block, 0, len(blocks))
-		for _, db := range blocks {
-			fb := fib.Block{Device: db.Device}
-			for _, u := range db.Updates {
-				match := w.compileLocked(u.Rule.Desc)
-				if match == bdd.False {
-					continue
-				}
-				fb.Updates = append(fb.Updates, fib.Update{
-					Op: u.Op,
-					Rule: fib.Rule{
-						ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
-						Match: match, Desc: u.Rule.Desc,
-					},
-				})
-			}
-			if len(fb.Updates) > 0 {
-				compiled = append(compiled, fb)
-			}
-		}
-		return compiled
-	}
 	// A cutover firing mid-batch invalidates the matches compiled before
 	// it in this very loop: they are atom refs held only in locals here,
 	// invisible to the conversion remap. Recompile the whole batch on the
 	// post-cutover engine — the cutover is one-way, so at most once.
 	before := w.cutovers
-	compiled := compileAll()
+	compiled := compileBlocks(w, w.idx, blocks, routes)
 	if w.cutovers != before {
-		compiled = compileAll()
+		compiled = compileBlocks(w, w.idx, blocks, routes)
 	}
 	if w.batch != nil {
 		err = w.batch.Add(compiled)
@@ -1421,6 +1497,13 @@ func (s *System) FeedBatch(ctx context.Context, msgs []Msg) ([]Result, error) {
 	defer s.dispatchMu.Unlock()
 	results := make([][][]Result, len(s.workers)) // [worker][msg index][...]
 	errs := make([]error, len(s.workers))
+	var routes routeTable // by message
+	if s.cfg.numSubspaces() > 1 {
+		routes = make(routeTable, len(msgs))
+		for mi, m := range msgs {
+			routes[mi] = s.cfg.routeUpdates(m.Updates)
+		}
+	}
 	live := 0
 	for i, w := range s.workers {
 		// Poisoning is keyed by the global subspace index (w.idx), which
@@ -1442,7 +1525,7 @@ func (s *System) FeedBatch(ctx context.Context, msgs []Msg) ([]Result, error) {
 			if s.feedHook != nil {
 				hook = func(m Msg) { s.feedHook(w.idx, m) }
 			}
-			results[i], errs[i] = w.feedAll(ctx, msgs, hook)
+			results[i], errs[i] = w.feedAll(ctx, msgs, routes, hook)
 		})
 	}
 	s.pool.Wait()
@@ -1636,20 +1719,21 @@ func (s *System) SubspaceIndices() []int {
 // acquisition. The returned slice is indexed by message position; a
 // context cancellation mid-batch returns the error with the results of
 // the messages already applied (a message that has started applying
-// always finishes, keeping the per-subspace model consistent). hook,
-// when non-nil, runs before each message (test seam).
-func (w *sysWorker) feedAll(ctx context.Context, msgs []Msg, hook func(Msg)) ([][]Result, error) {
+// always finishes, keeping the per-subspace model consistent). routes
+// holds each message's update routes (routeUpdates). hook, when non-nil,
+// runs before each message (test seam).
+func (w *sysWorker) feedAll(ctx context.Context, msgs []Msg, routes routeTable, hook func(Msg)) ([][]Result, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	out := make([][]Result, 0, len(msgs))
-	for _, m := range msgs {
+	for mi, m := range msgs {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
 		if hook != nil {
 			hook(m)
 		}
-		rs, err := w.feedOne(m)
+		rs, err := w.feedOne(m, routes.at(mi))
 		if err != nil {
 			return out, err
 		}
@@ -1662,36 +1746,21 @@ func (w *sysWorker) feedAll(ctx context.Context, msgs []Msg, hook func(Msg)) ([]
 	return out, nil
 }
 
-// feedOne applies one message; callers hold w.mu.
-func (w *sysWorker) feedOne(m Msg) ([]Result, error) {
+// feedOne applies one message, whose envelope every subspace must see
+// (CE2D tracks epochs per device) even when routes leaves it no update
+// here; callers hold w.mu.
+func (w *sysWorker) feedOne(m Msg, routes []route) ([]Result, error) {
 	var start time.Time
 	if w.feedNs != nil {
 		start = time.Now()
-	}
-	compileAll := func() []fib.Update {
-		var ups []fib.Update
-		for _, u := range m.Updates {
-			match := w.compileLocked(u.Rule.Desc)
-			if match == bdd.False {
-				continue
-			}
-			ups = append(ups, fib.Update{
-				Op: u.Op,
-				Rule: fib.Rule{
-					ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
-					Match: match, Desc: u.Rule.Desc,
-				},
-			})
-		}
-		return ups
 	}
 	// Matches compiled before a mid-message cutover are stale atom refs
 	// held only in this loop's locals; recompile the whole message on the
 	// post-cutover engine (one-way guard, so at most one restart).
 	before := w.cutovers
-	ups := compileAll()
+	ups := compileUpdates(w, w.idx, m.Updates, routes)
 	if w.cutovers != before {
-		ups = compileAll()
+		ups = compileUpdates(w, w.idx, m.Updates, routes)
 	}
 	evs, err := w.disp.Receive(ce2d.Msg{Device: m.Device, Epoch: ce2d.Epoch(m.Epoch), Updates: ups})
 	if err != nil {

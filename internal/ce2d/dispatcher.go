@@ -3,6 +3,7 @@ package ce2d
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -227,8 +228,16 @@ func (d *Dispatcher) ensureVerifier(e Epoch) (*Verifier, []TaggedEvent, error) {
 	if d.born != nil {
 		d.born[e] = time.Now()
 	}
-	var events []TaggedEvent
+	// Back-fill in device order, not map order: the order decides the
+	// order of the emitted events and how many predicate operations the
+	// replay costs, and both must repeat from run to run.
+	devs := make([]fib.DeviceID, 0, len(d.queues))
 	for dev := range d.queues {
+		devs = append(devs, dev)
+	}
+	slices.Sort(devs)
+	var events []TaggedEvent
+	for _, dev := range devs {
 		evs, err := d.feedDevice(e, v, dev)
 		if err != nil {
 			return nil, nil, err

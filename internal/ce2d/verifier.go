@@ -2,6 +2,7 @@ package ce2d
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bdd"
@@ -293,6 +294,9 @@ func (v *Verifier) syncCheck(cs *classState, dev fib.DeviceID, rules []fib.Rule,
 			classes = append(classes, p)
 		}
 	}
+	// The class maps iterate in random order; visit classes by Ref so the
+	// events of one synchronization come out in the same order every run.
+	slices.Sort(classes)
 	for _, p := range classes {
 		if cs.settled[p] {
 			continue

@@ -51,7 +51,11 @@ type Engine interface {
 	AnySat(r bdd.Ref) []bool
 	SatCount(r bdd.Ref) float64
 
-	// Activity counters (atomic; safe to sample concurrently).
+	// Activity counters (safe to sample concurrently). CacheEvictions
+	// counts what the representation's memo cache threw away to make
+	// room: computed-cache shard resets forced by the size cap on the
+	// BDD engine, entries overwritten by a colliding key in the atom
+	// engine's direct-mapped op cache.
 	Ops() uint64
 	CacheStats() (hits, misses uint64)
 	CacheEvictions() uint64

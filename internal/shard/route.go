@@ -1,9 +1,8 @@
 package shard
 
 import (
-	"math/bits"
-
 	flash "repro"
+	"repro/internal/fib"
 )
 
 // routeFor narrows a message for one shard: the envelope (device +
@@ -44,28 +43,10 @@ func (c *Coordinator) routeFor(sh *shard, m flash.Msg) flash.Msg {
 
 // subspaceRange maps an update's primary prefix on the partitioned
 // field to the inclusive global subspace range it can touch. ok=false
-// means "unknown — deliver everywhere" (ternary match, missing field,
-// or non-power-of-two partitioning).
+// means "unknown — deliver everywhere" (see fib.SubspaceRange, the
+// arithmetic the subspace workers route with in process too).
 func (c *Coordinator) subspaceRange(u flash.Update) (lo, hi int, ok bool) {
-	n := c.cfg.Subspaces
-	b := bits.TrailingZeros(uint(n))
-	if c.cfg.FieldBits <= 0 || c.cfg.Field == "" || n != 1<<b || b > c.cfg.FieldBits {
-		return 0, 0, false
-	}
-	value, plen, has := u.Rule.Desc.PrimaryPrefix(c.cfg.Field)
-	if !has {
-		return 0, 0, false
-	}
-	w := c.cfg.FieldBits
-	if plen >= b {
-		s := int(value >> uint(w-b))
-		return s, s, true
-	}
-	// Short prefix: it spans a 2^(b-plen)-wide aligned block of
-	// subspaces.
-	lo = int((value &^ ((1 << uint(w-plen)) - 1)) >> uint(w-b))
-	hi = lo + (1 << uint(b-plen)) - 1
-	return lo, hi, true
+	return fib.SubspaceRange(u.Rule.Desc, c.cfg.Field, c.cfg.FieldBits, c.cfg.Subspaces)
 }
 
 // rangeHits reports whether any owned subspace falls in [lo, hi].

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bdd"
 	"repro/internal/ce2d"
 	"repro/internal/fib"
 	"repro/internal/imt"
@@ -163,6 +162,7 @@ func (sn *Snapshot) Apply(ctx context.Context, blocks []DeviceBlock) ([]Result, 
 		return nil, ErrSnapshotReleased
 	}
 	var out []Result
+	routes := sn.sys.cfg.routeBlocks(blocks)
 	for _, ss := range sn.subs {
 		if ss == nil {
 			continue
@@ -170,7 +170,7 @@ func (sn *Snapshot) Apply(ctx context.Context, blocks []DeviceBlock) ([]Result, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rs, err := ss.whatIf(sn.sys.cfg, blocks)
+		rs, err := ss.whatIf(sn.sys.cfg, blocks, routes)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func (s *System) WhatIf(ctx context.Context, blocks []DeviceBlock) ([]Result, er
 // (compiled matches, forked model growth, verifier detection state)
 // need no GC rooting: collection on this engine only runs under w.mu,
 // and everything transient is dead before the mutex is released.
-func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock) (results []Result, err error) {
+func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock, routes routeTable) (results []Result, err error) {
 	w := ss.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -205,45 +205,18 @@ func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock) (results []Result, e
 		}
 	}()
 
-	// Compile the hypothetical updates against this subspace; a block
-	// whose rules all miss the universe does not touch it.
-	var compiled []fib.Block
-	touched := make(map[fib.DeviceID]bool)
-	compileAll := func() []fib.Block {
-		out := make([]fib.Block, 0, len(blocks))
-		clear(touched)
-		for _, db := range blocks {
-			fb := fib.Block{Device: db.Device}
-			for _, u := range db.Updates {
-				// Same compile (and hybrid cutover guard) as the live feed
-				// path: a hypothetical ternary rule converts the subspace to
-				// BDD exactly as feeding it live would.
-				match := w.compileLocked(u.Rule.Desc)
-				if match == bdd.False {
-					continue // same skip the live feed path applies
-				}
-				fb.Updates = append(fb.Updates, fib.Update{
-					Op: u.Op,
-					Rule: fib.Rule{
-						ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
-						Match: match, Desc: u.Rule.Desc,
-					},
-				})
-			}
-			if len(fb.Updates) > 0 {
-				out = append(out, fb)
-				touched[db.Device] = true
-			}
-		}
-		return out
-	}
-	// A mid-transaction cutover invalidates matches compiled earlier in
-	// the loop (stale atom refs in locals); recompile everything on the
-	// post-cutover engine — the guard is one-way, so at most one restart.
+	// Compile the hypothetical updates against this subspace — the same
+	// routing, compile and hybrid cutover guard as the live feed path (a
+	// hypothetical ternary rule converts the subspace to BDD exactly as
+	// feeding it live would); a block whose rules all miss the universe
+	// does not touch it. A mid-transaction cutover invalidates matches
+	// compiled earlier in the loop (stale atom refs in locals), so
+	// everything is recompiled on the post-cutover engine — the guard is
+	// one-way, so at most one restart.
 	before := w.cutovers
-	compiled = compileAll()
+	compiled := compileBlocks(w, w.idx, blocks, routes)
 	if w.cutovers != before {
-		compiled = compileAll()
+		compiled = compileBlocks(w, w.idx, blocks, routes)
 	}
 	if len(compiled) == 0 {
 		return nil, nil // subspace unaffected
@@ -265,8 +238,8 @@ func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock) (results []Result, e
 		Succ:     cfg.Succ,
 	})
 	devs := append([]fib.DeviceID(nil), ss.synced...)
-	for dev := range touched {
-		devs = append(devs, dev)
+	for _, fb := range compiled {
+		devs = append(devs, fb.Device) // duplicates are skipped below
 	}
 	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
 	var prev fib.DeviceID

@@ -21,7 +21,11 @@ type SchedulerStats struct {
 	Workers    int    `json:"workers"`
 }
 
-// CacheStats aggregates the per-engine ITE computed-cache counters.
+// CacheStats aggregates the per-engine memo-cache counters: the ITE
+// computed cache on BDD subspaces, the op cache on atom subspaces.
+// Evictions (the bdd_cache_evictions metric) counts computed-cache shard
+// resets forced by the size cap on the former and entries overwritten by
+// a colliding key on the latter, whose cache is direct-mapped and lossy.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
