@@ -51,15 +51,17 @@ checkstrict:
 race-hot:
 	$(GO) test -race . ./internal/ce2d ./internal/wire ./internal/obs
 
-# The hybrid predicate engine's trust anchors under the race detector:
-# parallel ITE canonicity on the sharded unique table, the
-# SetCacheLimit-vs-ITE race, the atom engine's algebra and concurrent
-# ops, and the differential oracle across predicate modes — including
-# the mid-stream atom→BDD cutover.
+# The predicate engines' trust anchors under the race detector: both
+# engines' whole suites (algebra, tiny-table oracles, GC, restore), the
+# differential oracle across predicate modes — including the mid-stream
+# atom→BDD cutover — and StatsSnapshot beside a running feed. The
+# engines are single-owner and hold no locks, so the detector is the
+# owner assertion: a path that reaches one without w.mu fails here.
+# Whole packages and a -run pattern naming live tests only: a pattern
+# that matches nothing passes silently.
 pred-race:
-	$(GO) test -race -count=1 -run 'TestParallelITECanonicity|TestSetCacheLimitRacesWithITE|TestCacheLimitEvicts|TestCounterReadsRaceWithMutation' ./internal/bdd
-	$(GO) test -race -count=1 ./internal/atoms
-	$(GO) test -race -count=1 -run 'TestDifferential' .
+	$(GO) test -race -count=1 ./internal/bdd ./internal/atoms
+	$(GO) test -race -count=1 -run 'TestDifferential|TestStatsSnapshotRacesFeed' .
 
 # One benchmark per table/figure; BenchmarkIMT* guards the Fast IMT
 # hot path against regressions (metrics disabled).

@@ -1,9 +1,11 @@
 // Package lockbdd flags BDD engine calls made while holding a mutex in
 // the CE2D/pipeline layer.
 //
-// A *bdd.Engine is single-owner by design: each subspace worker owns
-// one and serializes access with its own queue, never a shared lock
-// (§3.2's subspace partitioning is what makes engines lock-free).
+// A predicate engine (*bdd.Engine, *atoms.Engine, pred.Engine) is
+// single-owner: it holds no locks and its counters are plain words, so
+// all methods require the owner's exclusion, which Flash provides with
+// the subspace worker's mutex (w.mu) — never a shared lock (§3.2's
+// subspace partitioning is what makes engines lock-free).
 // Coordination code — package ce2d and the pipeline/server glue — holds
 // sync.Mutex/sync.RWMutex locks for bookkeeping (epoch tables, queue
 // state), and BDD operations are unbounded work (an And can blow up

@@ -23,6 +23,12 @@
 // regardless of internal interval visits or of whether a terminal
 // short-circuit or the op cache answered it (Diff counts two, matching
 // how the paper's pseudocode composes it).
+//
+// # Ownership
+//
+// An Engine is single-owner: it holds no locks and its counters are
+// plain words, so all methods require the owner's exclusion, which Flash
+// provides with the subspace worker's mutex (w.mu).
 package atoms
 
 import (
@@ -31,7 +37,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/bdd"
 	"repro/internal/deltanet"
@@ -69,17 +74,12 @@ const (
 // It satisfies pred.Engine: Refs are dense int32 handles into the
 // interned-set table, with bdd.False (0) the empty set and bdd.True (1)
 // the full line, so zero-valued predicates mean "empty header space"
-// under both representations.
-//
-// All methods are safe for concurrent use (one mutex guards the tables
-// and counters; interned interval slices are immutable), except GC,
-// which requires exclusive access like its BDD counterpart.
+// under both representations. Interned interval slices are immutable.
 type Engine struct {
 	nvars int
 	full  deltanet.Interval // [0, 2^W)
 	opCap int               // op cache slot cap (maxOpSlots outside tests)
 
-	mu   sync.Mutex
 	sets [][]deltanet.Interval // Ref → canonical interval set
 	nivs int                   // total intervals across interned sets (memory proxy)
 
@@ -109,7 +109,7 @@ type Engine struct {
 	compileCache  map[fib.FieldMatch]bdd.Ref
 	compileLayout *hs.Layout
 
-	// Activity counters, guarded by mu (every op already holds it).
+	// Activity counters.
 	ops, cacheHits, cacheMisses, cacheEvict uint64
 	gcRuns, gcReclaimed                     uint64
 }
@@ -156,7 +156,7 @@ func newSized(nvars, internSlots, opSlots, opCap int) *Engine {
 		intern:  make([]internSlot, internSlots),
 		opCache: make([]opSlot, opSlots),
 	}
-	if r := e.internLocked([]deltanet.Interval{e.full}); r != bdd.True {
+	if r := e.internSet([]deltanet.Interval{e.full}); r != bdd.True {
 		panic("atoms: full line did not intern as bdd.True")
 	}
 	return e
@@ -184,8 +184,7 @@ func opIndex(op uint8, a, b bdd.Ref) uint64 {
 	return mix(uint64(uint32(a))<<32|uint64(uint32(b)), 0x8ebc6af09c88c6e3+uint64(op)<<1)
 }
 
-// set returns the interned set for r; callers hold e.mu. Interned slices
-// are immutable, so the result may be used after the lock is released.
+// set returns the interned set for r.
 func (e *Engine) set(r bdd.Ref) []deltanet.Interval {
 	if r < 0 || int(r) >= len(e.sets) {
 		panic(fmt.Sprintf("atoms: ref %d outside the interned range [0,%d)", r, len(e.sets)))
@@ -194,19 +193,15 @@ func (e *Engine) set(r bdd.Ref) []deltanet.Interval {
 }
 
 // operands counts one predicate operation and returns both operand
-// sets under a single lock acquisition (the yes/no queries walk them
-// after releasing it).
+// sets for the yes/no queries to walk.
 func (e *Engine) operands(a, b bdd.Ref) (as, bs []deltanet.Interval) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.ops++
 	return e.set(a), e.set(b)
 }
 
-// findLocked probes the intern table for a non-empty canonical set with
-// hash h: its Ref if interned, else 0 and the empty slot where it
-// belongs. Callers hold e.mu.
-func (e *Engine) findLocked(ivs []deltanet.Interval, h uint64) (bdd.Ref, uint64) {
+// find probes the intern table for a non-empty canonical set with hash
+// h: its Ref if interned, else 0 and the empty slot where it belongs.
+func (e *Engine) find(ivs []deltanet.Interval, h uint64) (bdd.Ref, uint64) {
 	mask := uint64(len(e.intern) - 1)
 	i := h & mask
 	for ; e.intern[i].ref != 0; i = (i + 1) & mask {
@@ -217,15 +212,15 @@ func (e *Engine) findLocked(ivs []deltanet.Interval, h uint64) (bdd.Ref, uint64)
 	return 0, i
 }
 
-// internLocked hash-conses a canonical set and returns its Ref; callers
-// hold e.mu. ivs is only read: a set the engine has not seen is copied,
-// so callers may pass (and keep reusing) the scratch buffer.
-func (e *Engine) internLocked(ivs []deltanet.Interval) bdd.Ref {
+// internSet hash-conses a canonical set and returns its Ref. ivs is only
+// read: a set the engine has not seen is copied, so callers may pass
+// (and keep reusing) the scratch buffer.
+func (e *Engine) internSet(ivs []deltanet.Interval) bdd.Ref {
 	if len(ivs) == 0 {
 		return bdd.False
 	}
 	h := hashIntervals(ivs)
-	r, i := e.findLocked(ivs, h)
+	r, i := e.find(ivs, h)
 	if r != 0 {
 		return r
 	}
@@ -234,22 +229,22 @@ func (e *Engine) internLocked(ivs []deltanet.Interval) bdd.Ref {
 	e.nivs += len(ivs)
 	e.intern[i] = internSlot{hash: h, ref: r}
 	if 2*len(e.sets) > len(e.intern) {
-		e.growLocked()
+		e.grow()
 	}
 	return r
 }
 
-// growLocked doubles the intern table (restoring load ≤ 1/2) and, until
+// grow doubles the intern table (restoring load ≤ 1/2) and, until
 // it reaches its cap, the op cache with it — the op working set scales
 // with the number of distinct predicates in play. Both moves reuse the
 // stored keys: an intern slot carries its hash, and a direct-mapped
 // entry at index i of n lands on i or i+n of 2n, so nothing collides.
-func (e *Engine) growLocked() {
+func (e *Engine) grow() {
 	old := e.intern
 	e.intern = make([]internSlot, 2*len(old))
 	for _, s := range old {
 		if s.ref != 0 {
-			e.placeLocked(s)
+			e.place(s)
 		}
 	}
 	if n := 2 * len(e.opCache); n <= e.opCap {
@@ -263,8 +258,8 @@ func (e *Engine) growLocked() {
 	}
 }
 
-// placeLocked stores a slot known to be absent from the intern table.
-func (e *Engine) placeLocked(s internSlot) {
+// place stores a slot known to be absent from the intern table.
+func (e *Engine) place(s internSlot) {
 	mask := uint64(len(e.intern) - 1)
 	i := s.hash & mask
 	for e.intern[i].ref != 0 {
@@ -273,14 +268,11 @@ func (e *Engine) placeLocked(s internSlot) {
 	e.intern[i] = s
 }
 
-// apply runs one ref-valued operation under the engine lock: count it,
-// answer terminal and identity cases outright, then probe the op cache;
-// only a miss merges intervals (into the scratch buffer) and consults
-// the intern table. A hit, and a miss whose result is already interned,
-// allocate nothing.
+// apply runs one ref-valued operation: count it, answer terminal and
+// identity cases outright, then probe the op cache; only a miss merges
+// intervals (into the scratch buffer) and consults the intern table. A
+// hit, and a miss whose result is already interned, allocate nothing.
 func (e *Engine) apply(op uint8, a, b bdd.Ref) bdd.Ref {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.ops++
 	if op == opDiff {
 		e.ops++ // a ∧ ¬b is two §3.3 operations, as on the BDD engine
@@ -329,7 +321,7 @@ func (e *Engine) apply(op uint8, a, b bdd.Ref) bdd.Ref {
 		buf = subtract(buf, as, bs)
 	}
 	e.scratch = buf
-	r := e.internLocked(buf)
+	r := e.internSet(buf)
 	// Interning may have doubled the cache; index the table as it is now.
 	s := &e.opCache[h&uint64(len(e.opCache)-1)]
 	if s.op != 0 {
@@ -376,49 +368,32 @@ func (e *Engine) NumVars() int { return e.nvars }
 // NumNodes reports the memory-footprint proxy: total intervals held by
 // interned sets, plus the two terminals — the atom analogue of the BDD
 // engine's node count.
-func (e *Engine) NumNodes() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.nivs + 2
-}
+func (e *Engine) NumNodes() int { return e.nivs + 2 }
 
-// counter reads one mu-guarded activity counter.
-func (e *Engine) counter(c *uint64) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return *c
-}
-
-// Ops reports cumulative §3.3 predicate operations. Safe concurrently.
-func (e *Engine) Ops() uint64 { return e.counter(&e.ops) }
+// Ops reports cumulative §3.3 predicate operations.
+func (e *Engine) Ops() uint64 { return e.ops }
 
 // ResetOps zeroes the predicate-operation counter.
-func (e *Engine) ResetOps() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ops = 0
-}
+func (e *Engine) ResetOps() { e.ops = 0 }
 
 // CacheStats reports the memoized-operation cache counters (the atom
 // analogue of the BDD engine's ITE computed cache). Operations answered
 // by a terminal or identity short-circuit never probe the cache and
 // count as neither.
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.cacheHits, e.cacheMisses
 }
 
 // CacheEvictions reports op cache entries overwritten by a colliding
 // key (the cache is direct-mapped and lossy; GC's wholesale zeroing is
 // not counted).
-func (e *Engine) CacheEvictions() uint64 { return e.counter(&e.cacheEvict) }
+func (e *Engine) CacheEvictions() uint64 { return e.cacheEvict }
 
-// GCRuns reports completed GC passes. Safe concurrently.
-func (e *Engine) GCRuns() uint64 { return e.counter(&e.gcRuns) }
+// GCRuns reports completed GC passes.
+func (e *Engine) GCRuns() uint64 { return e.gcRuns }
 
 // ReclaimedNodes reports intervals swept across all GC passes.
-func (e *Engine) ReclaimedNodes() uint64 { return e.counter(&e.gcReclaimed) }
+func (e *Engine) ReclaimedNodes() uint64 { return e.gcReclaimed }
 
 // And returns a ∧ b (interval intersection); one counted operation.
 // Commutative, so operands are ordered to double the cache hit rate.
@@ -582,40 +557,25 @@ func (e *Engine) SatCount(r bdd.Ref) float64 {
 // Intervals returns r's canonical interval set. The slice is immutable;
 // the hybrid cutover uses it to recompile each live atom predicate into
 // BDD form (hs.Space.LineRange per interval).
-func (e *Engine) Intervals(r bdd.Ref) []deltanet.Interval {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.set(r)
-}
+func (e *Engine) Intervals(r bdd.Ref) []deltanet.Interval { return e.set(r) }
 
 // FromIntervals interns a (possibly unnormalized) interval list.
-// Intervals must lie within [0, 2^W).
+// Intervals must lie within [0, 2^W). The list is normalized in the
+// scratch buffer, so ivs is left untouched.
 func (e *Engine) FromIntervals(ivs []deltanet.Interval) bdd.Ref {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fromIntervalsLocked(ivs)
-}
-
-// fromIntervalsLocked is FromIntervals for callers holding e.mu; the
-// list is normalized in the scratch buffer, so ivs is left untouched.
-func (e *Engine) fromIntervalsLocked(ivs []deltanet.Interval) bdd.Ref {
 	e.scratch = append(e.scratch[:0], ivs...)
 	norm := normalize(e.scratch)
 	if n := len(norm); n > 0 && norm[n-1].Hi > e.full.Hi {
 		panic(fmt.Sprintf("atoms: interval [%d,%d) outside the %d-bit line", norm[n-1].Lo, norm[n-1].Hi, e.nvars))
 	}
-	return e.internLocked(norm)
+	return e.internSet(norm)
 }
 
 // NumRefs reports how many distinct predicates the engine has interned,
 // terminals included. Refs are dense in [0, NumRefs), which is what
 // lets the hybrid cutover size a bdd.Remap over the whole atom-era Ref
 // range.
-func (e *Engine) NumRefs() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sets)
-}
+func (e *Engine) NumRefs() int { return len(e.sets) }
 
 // Compile converts a match descriptor into an atom predicate via
 // deltanet.IntervalsFor. A descriptor that is valid but explodes past
@@ -629,12 +589,8 @@ func (e *Engine) Compile(layout *hs.Layout, d fib.MatchDesc) (bdd.Ref, error) {
 	// prefixes constantly and IntervalsFor walks the whole layout each
 	// time. The cache is sound only while refs are stable; GC clears it.
 	single := len(d) == 1
-	if single {
-		e.mu.Lock()
-		r, ok := e.compileCache[d[0]]
-		ok = ok && e.compileLayout == layout
-		e.mu.Unlock()
-		if ok {
+	if single && e.compileLayout == layout {
+		if r, ok := e.compileCache[d[0]]; ok {
 			return r, nil
 		}
 	}
@@ -645,9 +601,7 @@ func (e *Engine) Compile(layout *hs.Layout, d fib.MatchDesc) (bdd.Ref, error) {
 	if len(ivs) > compileBound {
 		return bdd.False, fmt.Errorf("atoms: rule compiles to %d intervals (bound %d): %w", len(ivs), compileBound, deltanet.ErrIntervalExplosion)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.fromIntervalsLocked(ivs)
+	r := e.FromIntervals(ivs)
 	if single {
 		if e.compileLayout == nil {
 			e.compileLayout = layout
@@ -665,8 +619,6 @@ func (e *Engine) Compile(layout *hs.Layout, d fib.MatchDesc) (bdd.Ref, error) {
 // intern table bijective with the set table. A violation means Ref
 // equality no longer implies predicate equality.
 func (e *Engine) CheckInvariants() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if len(e.sets) < 2 {
 		return fmt.Errorf("atoms: terminal sets missing (%d interned)", len(e.sets))
 	}
@@ -710,7 +662,7 @@ func (e *Engine) CheckInvariants() error {
 		if len(ivs) == 0 {
 			return fmt.Errorf("atoms: ref %d duplicates the empty set", r)
 		}
-		if got, _ := e.findLocked(ivs, hashIntervals(ivs)); got != bdd.Ref(r) {
+		if got, _ := e.find(ivs, hashIntervals(ivs)); got != bdd.Ref(r) {
 			return fmt.Errorf("atoms: ref %d not canonically interned (lookup finds %d)", r, got)
 		}
 	}
@@ -733,10 +685,7 @@ func (e *Engine) CheckInvariants() error {
 // table is refilled from the surviving slots' stored hashes; both memo
 // tables hold pre-compaction refs and are simply zeroed. The returned
 // remap follows the bdd.Remap contract (dead entries panic on Apply).
-// Exclusive-access only.
 func (e *Engine) GC(roots func(yield func(bdd.Ref))) (bdd.Remap, bdd.GCStats) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := len(e.sets)
 	live := make([]bool, n)
 	live[bdd.False], live[bdd.True] = true, true
@@ -765,7 +714,7 @@ func (e *Engine) GC(roots func(yield func(bdd.Ref))) (bdd.Remap, bdd.GCStats) {
 	e.intern = make([]internSlot, len(old))
 	for _, s := range old {
 		if s.ref != 0 && live[s.ref] {
-			e.placeLocked(internSlot{hash: s.hash, ref: remap[s.ref]})
+			e.place(internSlot{hash: s.hash, ref: remap[s.ref]})
 		}
 	}
 	clear(e.opCache)

@@ -2,43 +2,48 @@
 // engine used as the predicate representation for header spaces.
 //
 // The paper's reference implementation uses the JDD library; Go has no
-// mature BDD library, so this package provides one from scratch. It is a
-// chunked-arena ROBDD with a sharded unique table (hash consing) and an
-// ITE-based apply with a sharded computed cache. Because nodes are
-// hash-consed, two predicates are logically equivalent if and only if
-// their Refs are equal, which the inverse-model code relies on for O(1)
-// predicate comparison (Reduce II in the paper aggregates overwrites by
-// predicate).
+// mature BDD library, so this package provides one from scratch, laid out
+// the way JDD is: an array node table and hashed, lossy operation caches.
+// Because nodes are hash-consed, two predicates are logically equivalent
+// if and only if their Refs are equal, which the inverse-model code
+// relies on for O(1) predicate comparison (Reduce II in the paper
+// aggregates overwrites by predicate).
 //
 // The engine counts "predicate operations" exactly as §3.3 of the paper
 // defines them: one conjunction (∧), disjunction (∨) or negation (¬)
 // invocation counts as one operation regardless of internal node visits.
 // This makes the "# Predicate Operations" column of Table 3 reproducible.
 //
-// # Concurrency
+// # Tables
 //
-// Node-creating operations (And, Or, Not, Diff, Xor, Implies, Overlaps,
-// Cube, Var, Exists, ...) and read-only walks (Eval, AnySat, SatCount,
-// NumNodes, CheckRef) are safe for concurrent use by multiple
-// goroutines: the unique table and the ITE computed cache are sharded
-// behind per-shard mutexes, node storage is a copy-on-grow chunk
-// directory whose published chunks are immutable in location (reads are
-// lock-free), and SetCacheLimit/eviction operate per shard so a
-// concurrent resize can never tear the cache out from under a running
-// ITE. This is what lets the work-stealing scheduler run parallel ITE
-// against one subspace engine without convoying on a single lock.
+// Nodes live in one []node indexed by Ref. The unique table is an
+// open-addressed, linearly probed []Ref of node indices — four bytes a
+// slot and no stored keys: a probe hashes (level, lo, hi) and compares
+// against the node a slot names. It is kept at load ≤ 1/2 and rebuilt
+// from the node array when it doubles, after GC and on restore. The ITE
+// computed cache is a direct-mapped []{f, g, h, r}: one probe, and a
+// colliding key overwrites. One rule sizes both: the unique table is the
+// smallest power of two (256 at least) that keeps the load ≤ 1/2, and
+// the cache has as many slots as the unique table, up to maxCacheSlots —
+// so they double together as nodes are created, and shrink together when
+// GC rebuilds them.
 //
-// Structural operations — GC, ExportNodes, ClearCache applied at a
-// quiescent point, and restore — still require exclusive access: they
-// rewrite Refs or assume no mutation is in flight. Flash serializes them
-// behind the owning worker's mutex, exactly where the old
-// single-owner contract was enforced.
+// A lossy cache is sound because nodes are hash-consed and Refs are
+// stable between GCs: an entry can only say "ITE of these three nodes is
+// that node", so losing one costs a recomputation that finds the very
+// same nodes. GC moves Refs, so it zeroes the cache — the only
+// invalidation there is.
+//
+// # Ownership
+//
+// An Engine is single-owner: it holds no locks and its counters are
+// plain words, so all methods require the owner's exclusion, which Flash
+// provides with the subspace worker's mutex (w.mu).
 package bdd
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 )
 
 // Ref is a reference to a BDD node. The terminals are the constants False
@@ -60,107 +65,37 @@ type node struct {
 	hi    Ref
 }
 
-// cacheKey identifies a memoized ITE computation.
-type cacheKey struct {
-	f, g, h Ref
+// iteSlot is one memoized ITE application; f == False marks an empty
+// slot (ite answers a terminal f before it probes).
+type iteSlot struct {
+	f, g, h, r Ref
 }
 
-// uniqueKey identifies a decision node (level, lo, hi) in the unique
-// table. A struct key is collision-proof for the full Ref range; the
-// earlier packed form (level<<48 | lo<<24 | hi) silently collided once
-// any child Ref reached 2^24, letting lo bleed into the level bits and
-// hi into the lo bits — mk would then return a Ref for an unrelated
-// node, breaking the "equal Refs ⇔ equivalent predicates" invariant.
-type uniqueKey struct {
-	level int32
-	lo    Ref
-	hi    Ref
-}
-
-// nodeKey builds the unique-table key for the node (level, lo, hi).
-// All unique-table lookups and insertions must go through this single
-// function so the regression tests can exercise it directly.
-func nodeKey(level int32, lo, hi Ref) uniqueKey {
-	return uniqueKey{level: level, lo: lo, hi: hi}
-}
-
-// Sharding and arena geometry. 64 shards keeps lock contention off the
-// profile at any worker count this project runs (the scheduler caps
-// workers at GOMAXPROCS), and 8192-node chunks (96 KB) amortize the
-// directory indirection while keeping growth increments small.
+// Table sizes, in slots (powers of two). 2^18 cache slots is 4 MB per
+// engine at most; engines are per subspace worker, so cache memory
+// scales with the subspace count, not the workload.
 const (
-	shardBits = 6
-	nShards   = 1 << shardBits
-
-	chunkBits = 13
-	chunkSize = 1 << chunkBits
-	chunkMask = chunkSize - 1
+	minSlots      = 1 << 8
+	maxCacheSlots = 1 << 18
+	maxSlots      = 1 << 31 // unique table bound: Refs are int32
 )
-
-// chunk is one fixed-size block of the node arena. Once a chunk is
-// published in the directory it is never moved or freed until a
-// structural operation (GC, restore) replaces the whole directory, so a
-// lock-free reader holding any Ref published to it can dereference
-// without synchronization beyond the publication that handed it the Ref.
-type chunk [chunkSize]node
-
-// uniqueShard is one bucket of the hash-sharded unique table. mk
-// serializes same-shard node creation through the shard mutex; creation
-// in distinct shards proceeds in parallel.
-type uniqueShard struct {
-	mu sync.Mutex
-	m  map[uniqueKey]Ref
-	_  [24]byte // pad to its own cache line neighborhood
-}
-
-// cacheShard is one bucket of the sharded ITE computed cache. Eviction
-// is per shard, so a cap resize never stalls (or races) every in-flight
-// ITE at once.
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[cacheKey]Ref
-	_  [24]byte
-}
-
-func shardOfUnique(k uniqueKey) uint32 {
-	h := uint64(uint32(k.level))*0x9E3779B97F4A7C15 ^
-		uint64(uint32(k.lo))*0xBF58476D1CE4E5B9 ^
-		uint64(uint32(k.hi))*0x94D049BB133111EB
-	return uint32(h>>32) & (nShards - 1)
-}
-
-func shardOfCache(k cacheKey) uint32 {
-	h := uint64(uint32(k.f))*0x9E3779B97F4A7C15 ^
-		uint64(uint32(k.g))*0xBF58476D1CE4E5B9 ^
-		uint64(uint32(k.h))*0x94D049BB133111EB
-	return uint32(h>>32) & (nShards - 1)
-}
-
-// DefaultCacheLimit bounds the ITE computed cache of a new Engine, in
-// entries. One entry is ~28 bytes of map payload, so the default caps a
-// single engine's cache around 30 MB; engines are per subspace worker,
-// so total cache memory scales with the subspace count, not the
-// workload. SetCacheLimit overrides it per engine.
-const DefaultCacheLimit = 1 << 20
 
 // Engine owns a universe of BDD nodes over a fixed number of Boolean
 // variables. Variable i is tested before variable j whenever i < j.
 type Engine struct {
-	nvars      int
-	nnodes     atomic.Int64             // allocated node count (next free arena slot)
-	chunks     atomic.Pointer[[]*chunk] // copy-on-grow chunk directory
-	growMu     sync.Mutex               // serializes directory growth
-	unique     [nShards]uniqueShard     // hash-sharded unique table
-	cache      [nShards]cacheShard      // hash-sharded ITE computed cache
-	cacheLimit atomic.Int64             // max computed-cache entries; <= 0 means unbounded
+	nvars    int
+	nodes    []node    // Ref → node; slots 0 and 1 are the terminals
+	unique   []Ref     // open-addressed unique table of node indices; 0 = empty
+	cache    []iteSlot // direct-mapped lossy ITE computed cache
+	cacheCap int       // cache slot cap (maxCacheSlots outside tests)
 
-	ops atomic.Uint64 // user-level predicate operations (∧, ∨, ¬)
+	ops uint64 // user-level predicate operations (∧, ∨, ¬)
 
-	cacheHits      atomic.Uint64 // ITE computed-cache hits
-	cacheMisses    atomic.Uint64 // ITE computed-cache misses (recursive computations)
-	cacheEvictions atomic.Uint64 // computed-cache shard resets forced by the size cap
-	gcRuns         atomic.Uint64 // completed GC passes
-	gcReclaimed    atomic.Uint64 // nodes swept across all GC passes
+	cacheHits      uint64 // ITE computed-cache hits
+	cacheMisses    uint64 // ITE computed-cache misses (recursive computations)
+	cacheEvictions uint64 // cache entries overwritten by a colliding key
+	gcRuns         uint64 // completed GC passes
+	gcReclaimed    uint64 // nodes swept across all GC passes
 }
 
 // New returns an Engine over nvars Boolean variables. nvars must be
@@ -169,173 +104,156 @@ func New(nvars int) *Engine {
 	if nvars <= 0 || nvars > 1<<15-1 {
 		panic(fmt.Sprintf("bdd: invalid variable count %d", nvars))
 	}
-	e := &Engine{nvars: nvars}
-	e.cacheLimit.Store(DefaultCacheLimit)
-	dir := []*chunk{new(chunk)}
-	e.chunks.Store(&dir)
-	// Terminals occupy slots 0 and 1 with a sentinel level below all
-	// variables so cofactor logic never descends into them.
-	dir[0][False] = node{level: int32(nvars), lo: False, hi: False}
-	dir[0][True] = node{level: int32(nvars), lo: True, hi: True}
-	e.nnodes.Store(2)
-	for i := range e.unique {
-		e.unique[i].m = make(map[uniqueKey]Ref, 16)
+	return newSized(nvars, minSlots, maxCacheSlots)
+}
+
+// newSized is New with an explicit initial unique-table size and cache
+// cap (powers of two); tests shrink them so every probe wrap-around,
+// doubling and overwrite runs within a few operations, restore presizes
+// the tables for the dump it replays.
+func newSized(nvars, slots, cacheCap int) *Engine {
+	e := &Engine{
+		nvars:    nvars,
+		nodes:    make([]node, 2, slots/2+1),
+		unique:   make([]Ref, slots),
+		cache:    make([]iteSlot, min(slots, cacheCap)),
+		cacheCap: cacheCap,
 	}
-	for i := range e.cache {
-		e.cache[i].m = make(map[cacheKey]Ref, 16)
-	}
+	// Terminals sit at a sentinel level below all variables so cofactor
+	// logic never descends into them.
+	e.nodes[False] = node{level: int32(nvars), lo: False, hi: False}
+	e.nodes[True] = node{level: int32(nvars), lo: True, hi: True}
 	return e
 }
 
-// node returns the arena entry for r. Lock-free: any code path that can
-// legitimately hold r observed it through a synchronization point that
-// happens-after the node (and its whole subgraph) was written.
-func (e *Engine) node(r Ref) node {
-	dir := *e.chunks.Load()
-	return dir[r>>chunkBits][r&chunkMask]
-}
-
-// setNode overwrites arena slot i. Structural-only (GC compaction,
-// restore); callers hold exclusive access.
-func (e *Engine) setNode(i Ref, nd node) {
-	dir := *e.chunks.Load()
-	dir[i>>chunkBits][i&chunkMask] = nd
-}
-
-// ensure grows the chunk directory to cover arena index idx. The
-// directory is copy-on-grow: readers loaded an older (shorter) directory
-// only ever dereference chunks that directory already contains, because
-// a Ref into a newer chunk can only reach them through a synchronization
-// point that happens-after the grow.
-func (e *Engine) ensure(idx int64) {
-	ci := int(idx >> chunkBits)
-	if ci < len(*e.chunks.Load()) {
-		return
+// slotsFor returns the unique-table size that holds n nodes at load
+// ≤ 1/2.
+func slotsFor(n int) int {
+	slots := minSlots
+	for slots < 2*n {
+		slots *= 2
 	}
-	e.growMu.Lock()
-	defer e.growMu.Unlock()
-	dir := *e.chunks.Load()
-	for ci >= len(dir) {
-		nd := make([]*chunk, len(dir)+1)
-		copy(nd, dir)
-		nd[len(dir)] = new(chunk)
-		e.chunks.Store(&nd)
-		dir = nd
-	}
+	return slots
 }
 
-// alloc claims the next arena slot and writes nd into it. The write is
-// published to other goroutines by the caller's shard-mutex release.
-func (e *Engine) alloc(nd node) Ref {
-	idx := e.nnodes.Add(1) - 1
-	e.ensure(idx)
-	dir := *e.chunks.Load()
-	dir[idx>>chunkBits][idx&chunkMask] = nd
-	return Ref(idx)
+// mix folds the 128-bit product of its operands into 64 bits (the
+// wyhash/mum primitive); the low bits of the result are mixed well
+// enough to index a power-of-two table directly.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// hashNode hashes a decision node for the unique table; hashITE an ITE
+// key for the computed cache. Callers mask the result to the table size.
+func hashNode(level int32, lo, hi Ref) uint64 {
+	return mix((uint64(uint32(lo))<<32|uint64(uint32(hi)))^0xa0761d6478bd642f, uint64(uint32(level))^0xe7037ed1a0b428db)
+}
+
+func hashITE(f, g, h Ref) uint64 {
+	return mix((uint64(uint32(f))<<32|uint64(uint32(g)))^0x8ebc6af09c88c6e3, uint64(uint32(h))^0x589965cc75374cc3)
 }
 
 // NumVars reports the number of Boolean variables in the engine's universe.
 func (e *Engine) NumVars() int { return e.nvars }
 
 // NumNodes reports the number of live decision nodes, including terminals.
-// It is the engine's memory-footprint proxy used by the benchmarks. Safe
-// for concurrent use.
-func (e *Engine) NumNodes() int { return int(e.nnodes.Load()) }
+// It is the engine's memory-footprint proxy used by the benchmarks.
+func (e *Engine) NumNodes() int { return len(e.nodes) }
 
 // Ops reports the cumulative number of user-level predicate operations
 // (conjunction, disjunction, negation) performed so far, as counted in
-// §3.3 of the paper. It is safe to call concurrently with engine
-// mutation (the counter is atomic).
-func (e *Engine) Ops() uint64 { return e.ops.Load() }
+// §3.3 of the paper.
+func (e *Engine) Ops() uint64 { return e.ops }
 
 // ResetOps zeroes the predicate-operation counter.
-func (e *Engine) ResetOps() { e.ops.Store(0) }
+func (e *Engine) ResetOps() { e.ops = 0 }
 
 // CacheStats reports the ITE computed-cache hit and miss totals since
-// the engine was created. Safe for concurrent use.
+// the engine was created.
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	return e.cacheHits.Load(), e.cacheMisses.Load()
+	return e.cacheHits, e.cacheMisses
 }
 
-// CacheEvictions reports how many times a computed-cache shard was
-// dropped because it reached its share of the size cap. Safe for
-// concurrent use.
-func (e *Engine) CacheEvictions() uint64 { return e.cacheEvictions.Load() }
+// CacheEvictions reports computed-cache entries overwritten by a
+// colliding key (the cache is direct-mapped and lossy; GC's wholesale
+// zeroing is not counted).
+func (e *Engine) CacheEvictions() uint64 { return e.cacheEvictions }
 
-// CacheLimit reports the computed-cache entry cap (<= 0 = unbounded).
-// Safe for concurrent use.
-func (e *Engine) CacheLimit() int { return int(e.cacheLimit.Load()) }
-
-// perShardLimit splits the global cache cap across shards. Every shard
-// keeps at least one entry, so a tiny cap still caches something; the
-// consequence is that the total may exceed caps smaller than the shard
-// count (bounded by max(limit, nShards)).
-func perShardLimit(limit int64) int {
-	per := int(limit) / nShards
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// SetCacheLimit caps the ITE computed cache at n entries, enforced as
-// n/nShards per shard (minimum one): when an insertion would exceed a
-// shard's share that shard is dropped (the cheapest possible eviction —
-// correctness is unaffected because the cache is a pure memo table, and
-// hash-consed nodes stay alive). n <= 0 removes the bound.
-//
-// Safe to call concurrently with running ITE operations: the limit is an
-// atomic and each shard evicts under its own mutex, so a concurrent
-// resize can never tear the map an in-flight ITE is reading.
-func (e *Engine) SetCacheLimit(n int) {
-	e.cacheLimit.Store(int64(n))
-	if n <= 0 {
-		return
-	}
-	per := perShardLimit(int64(n))
-	for i := range e.cache {
-		cs := &e.cache[i]
-		cs.mu.Lock()
-		if len(cs.m) >= per {
-			cs.m = make(map[cacheKey]Ref, 16)
-			e.cacheEvictions.Add(1)
+// find probes the unique table for the node (level, lo, hi): its Ref if
+// interned, else 0 and the empty slot where it belongs.
+func (e *Engine) find(level int32, lo, hi Ref) (Ref, uint64) {
+	mask := uint64(len(e.unique) - 1)
+	i := hashNode(level, lo, hi) & mask
+	for {
+		r := e.unique[i]
+		if r == 0 {
+			return 0, i
 		}
-		cs.mu.Unlock()
+		if nd := &e.nodes[r]; nd.level == level && nd.lo == lo && nd.hi == hi {
+			return r, i
+		}
+		i = (i + 1) & mask
 	}
-}
-
-// cacheLen sums the live computed-cache entries across shards (tests and
-// introspection only).
-func (e *Engine) cacheLen() int {
-	total := 0
-	for i := range e.cache {
-		cs := &e.cache[i]
-		cs.mu.Lock()
-		total += len(cs.m)
-		cs.mu.Unlock()
-	}
-	return total
 }
 
 // mk returns the canonical node (level, lo, hi), creating it if needed.
-// Safe for concurrent use: creation serializes per unique-table shard,
-// and the arena write is published by the shard-mutex release before any
-// other goroutine can observe the Ref.
 func (e *Engine) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	key := nodeKey(level, lo, hi)
-	s := &e.unique[shardOfUnique(key)]
-	s.mu.Lock()
-	if r, ok := s.m[key]; ok {
-		s.mu.Unlock()
+	r, i := e.find(level, lo, hi)
+	if r != 0 {
 		return r
 	}
-	r := e.alloc(node{level: level, lo: lo, hi: hi})
-	s.m[key] = r
-	s.mu.Unlock()
+	r = Ref(len(e.nodes))
+	e.nodes = append(e.nodes, node{level: level, lo: lo, hi: hi})
+	e.unique[i] = r
+	if 2*len(e.nodes) > len(e.unique) {
+		e.grow()
+	}
 	return r
+}
+
+// grow doubles the unique table (restoring load ≤ 1/2) and, until it
+// reaches its cap, the computed cache with it — the ITE working set
+// scales with the number of nodes in play. A direct-mapped entry at
+// index i of n lands on i or i+n of 2n, so moving the cache loses
+// nothing.
+func (e *Engine) grow() {
+	e.rebuildUnique(2 * len(e.unique))
+	if n := e.cacheSlots(); n > len(e.cache) {
+		old := e.cache
+		e.cache = make([]iteSlot, n)
+		for _, s := range old {
+			if s.f != False {
+				e.cache[hashITE(s.f, s.g, s.h)&uint64(n-1)] = s
+			}
+		}
+	}
+}
+
+// cacheSlots is the computed-cache size that goes with the current
+// unique table: as many slots, up to the cap.
+func (e *Engine) cacheSlots() int { return min(len(e.unique), e.cacheCap) }
+
+// rebuildUnique replaces the unique table with one of the given size
+// (a power of two at least twice the node count) refilled from the node
+// array, which holds every key the table ever needs.
+func (e *Engine) rebuildUnique(slots int) {
+	if slots > maxSlots {
+		panic("bdd: node table full")
+	}
+	e.unique = make([]Ref, slots)
+	mask := uint64(slots - 1)
+	for r := 2; r < len(e.nodes); r++ {
+		nd := e.nodes[r]
+		i := hashNode(nd.level, nd.lo, nd.hi) & mask
+		for e.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		e.unique[i] = Ref(r)
+	}
 }
 
 // Var returns the predicate that is true exactly when variable i is 1.
@@ -367,41 +285,28 @@ func (e *Engine) ite(f, g, h Ref) Ref {
 	case g == True && h == False:
 		return f
 	}
-	key := cacheKey{f, g, h}
-	cs := &e.cache[shardOfCache(key)]
-	cs.mu.Lock()
-	r, ok := cs.m[key]
-	cs.mu.Unlock()
-	if ok {
-		e.cacheHits.Add(1)
-		return r
+	k := hashITE(f, g, h)
+	if s := &e.cache[k&uint64(len(e.cache)-1)]; s.f == f && s.g == g && s.h == h {
+		e.cacheHits++
+		return s.r
 	}
-	e.cacheMisses.Add(1)
-	nf, ng, nh := e.node(f), e.node(g), e.node(h)
-	top := nf.level
-	if ng.level < top {
-		top = ng.level
-	}
-	if nh.level < top {
-		top = nh.level
-	}
+	e.cacheMisses++
+	nf, ng, nh := e.nodes[f], e.nodes[g], e.nodes[h]
+	top := min(nf.level, ng.level, nh.level)
 	f0, f1 := cofactor(nf, f, top)
 	g0, g1 := cofactor(ng, g, top)
 	h0, h1 := cofactor(nh, h, top)
 	lo := e.ite(f0, g0, h0)
 	hi := e.ite(f1, g1, h1)
-	r = e.mk(top, lo, hi)
-	limit := e.cacheLimit.Load()
-	cs.mu.Lock()
-	if limit > 0 && len(cs.m) >= perShardLimit(limit) {
-		// Dropping one shard mid-computation is safe: outer recursion
-		// levels recompute their subresults at worst, and node identity
-		// is preserved by the unique table.
-		cs.m = make(map[cacheKey]Ref, 16)
-		e.cacheEvictions.Add(1)
+	r := e.mk(top, lo, hi)
+	// The recursion may have doubled the cache; index the table as it is
+	// now. Every subproblem tests deeper variables, so whatever the slot
+	// holds is another key's entry.
+	s := &e.cache[k&uint64(len(e.cache)-1)]
+	if s.f != False {
+		e.cacheEvictions++
 	}
-	cs.m[key] = r
-	cs.mu.Unlock()
+	*s = iteSlot{f: f, g: g, h: h, r: r}
 	return r
 }
 
@@ -416,45 +321,45 @@ func cofactor(n node, r Ref, top int32) (lo, hi Ref) {
 
 // And returns a ∧ b and counts one predicate operation.
 func (e *Engine) And(a, b Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, b, False)
 }
 
 // Or returns a ∨ b and counts one predicate operation.
 func (e *Engine) Or(a, b Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, True, b)
 }
 
 // Not returns ¬a and counts one predicate operation.
 func (e *Engine) Not(a Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, False, True)
 }
 
 // Diff returns a ∧ ¬b. It counts as two predicate operations (a negation
 // and a conjunction), matching how the paper's pseudocode composes it.
 func (e *Engine) Diff(a, b Ref) Ref {
-	e.ops.Add(2)
+	e.ops += 2
 	return e.ite(b, False, a)
 }
 
 // Xor returns a ⊕ b, counted as one operation.
 func (e *Engine) Xor(a, b Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, e.ite(b, False, True), b)
 }
 
 // Implies reports whether a ⇒ b holds for all assignments, i.e. a ∧ ¬b = ∅.
 // It performs one (counted) predicate operation.
 func (e *Engine) Implies(a, b Ref) bool {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, b, True) == True
 }
 
 // Overlaps reports whether a ∧ b is non-empty. One counted operation.
 func (e *Engine) Overlaps(a, b Ref) bool {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, b, False) != False
 }
 
@@ -514,7 +419,7 @@ func (e *Engine) Cube(vars []int, bits uint64) Ref {
 // the value of variable i). Used by tests to cross-check algebra.
 func (e *Engine) Eval(r Ref, assignment []bool) bool {
 	for r != True && r != False {
-		n := e.node(r)
+		n := e.nodes[r]
 		if assignment[n.level] {
 			r = n.hi
 		} else {
@@ -533,7 +438,7 @@ func (e *Engine) SatCount(r Ref) float64 {
 		if r == False {
 			return 0
 		}
-		n := e.node(r)
+		n := e.nodes[r]
 		var sub float64
 		if r == True {
 			sub = 1
@@ -564,7 +469,7 @@ func (e *Engine) AnySat(r Ref) []bool {
 	}
 	a := make([]bool, e.nvars)
 	for r != True {
-		n := e.node(r)
+		n := e.nodes[r]
 		if n.lo != False {
 			r = n.lo
 		} else {
@@ -593,7 +498,7 @@ func (e *Engine) Exists(r Ref, vars []int) Ref {
 			panic("bdd: Exists variables must be strictly increasing")
 		}
 	}
-	e.ops.Add(uint64(len(vars)))
+	e.ops += uint64(len(vars))
 	memo := make(map[Ref]Ref)
 	var rec func(r Ref, vi int) Ref
 	rec = func(r Ref, vi int) Ref {
@@ -603,7 +508,7 @@ func (e *Engine) Exists(r Ref, vars []int) Ref {
 		if v, ok := memo[r]; ok {
 			return v
 		}
-		n := e.node(r)
+		n := e.nodes[r]
 		// Skip quantifier variables above this node's level.
 		for vi < len(vars) && int32(vars[vi]) < n.level {
 			vi++
@@ -623,55 +528,4 @@ func (e *Engine) Exists(r Ref, vars []int) Ref {
 		return out
 	}
 	return rec(r, 0)
-}
-
-// ClearCache drops the computed-table cache (but keeps all nodes alive).
-// Long-running verifiers call this between large update blocks to bound
-// memory without invalidating outstanding Refs. Safe for concurrent use
-// (each shard is dropped under its own mutex), though callers usually
-// invoke it at quiescent points.
-func (e *Engine) ClearCache() {
-	for i := range e.cache {
-		cs := &e.cache[i]
-		cs.mu.Lock()
-		cs.m = make(map[cacheKey]Ref, 16)
-		cs.mu.Unlock()
-	}
-}
-
-// dropCacheLocked resets every cache shard without counting evictions.
-// Structural-only (GC, restore); callers hold exclusive access.
-func (e *Engine) dropCacheLocked() {
-	for i := range e.cache {
-		e.cache[i].m = make(map[cacheKey]Ref, 16)
-	}
-}
-
-// resetUnique replaces the unique table with empty shards sized for n
-// survivors. Structural-only; callers hold exclusive access.
-func (e *Engine) resetUnique(n int) {
-	per := n/nShards + 1
-	for i := range e.unique {
-		e.unique[i].m = make(map[uniqueKey]Ref, per)
-	}
-}
-
-// uniqueInsert interns (key → r) without locking. Structural-only.
-func (e *Engine) uniqueInsert(key uniqueKey, r Ref) {
-	e.unique[shardOfUnique(key)].m[key] = r
-}
-
-// uniqueLookup reads the unique table without locking. Structural-only.
-func (e *Engine) uniqueLookup(key uniqueKey) (Ref, bool) {
-	r, ok := e.unique[shardOfUnique(key)].m[key]
-	return r, ok
-}
-
-// uniqueLen counts interned nonterminal nodes. Structural-only.
-func (e *Engine) uniqueLen() int {
-	total := 0
-	for i := range e.unique {
-		total += len(e.unique[i].m)
-	}
-	return total
 }

@@ -307,21 +307,6 @@ func TestOpsCounter(t *testing.T) {
 	}
 }
 
-func TestClearCacheKeepsRefsValid(t *testing.T) {
-	e := New(6)
-	rng := rand.New(rand.NewSource(3))
-	r := buildRandom(e, rng, 6)
-	before := e.SatCount(r)
-	e.ClearCache()
-	if e.SatCount(r) != before {
-		t.Error("ClearCache invalidated an outstanding Ref")
-	}
-	// And the engine still computes correctly.
-	if e.And(r, e.Not(r)) != False {
-		t.Error("engine broken after ClearCache")
-	}
-}
-
 func TestCanonicityUnderRandomEquivalences(t *testing.T) {
 	// If two predicates are semantically equal, their Refs must be equal.
 	const nvars = 5

@@ -13,11 +13,8 @@ package bdd
 //
 // Marking exploits the construction invariant that mk allocates a node
 // only after both children exist, so children always sit at smaller
-// arena indices than their parents (this holds under concurrent
-// allocation too: a parent's children are visible to its creator before
-// the parent's slot is claimed, and slot indices are monotonic): setting
-// the root bits and making one descending pass over the arena closes
-// the live set.
+// arena indices than their parents: setting the root bits and making
+// one descending pass over the arena closes the live set.
 //
 // Compaction lays survivors out in descending level order (deepest
 // variables first, terminals at their sentinel level in slots 0 and 1).
@@ -26,7 +23,7 @@ package bdd
 // ExportNodes dumps restore with the same one-pass validation — while
 // giving post-GC traversals level locality: every ITE cofactor step
 // walks toward higher levels, i.e. strictly earlier (already touched)
-// arena chunks.
+// arena positions.
 
 import "fmt"
 
@@ -67,14 +64,13 @@ type GCStats struct {
 // GC runs a mark-and-sweep collection. roots must yield every Ref the
 // caller still holds; anything not reachable from a yielded Ref (or a
 // terminal) is swept. Survivors are compacted into a fresh arena in
-// descending level order, the unique table is rebuilt over them, and
-// the computed cache is dropped (it memoizes pre-GC Refs). All
-// outstanding Refs are invalidated: the caller must rewrite each one
-// through the returned Remap before touching the engine again.
-// Exclusive-access only: no concurrent engine use of any kind may be in
-// flight (Flash serializes GC behind the owning worker's mutex).
+// descending level order, the unique table is rebuilt over them, and the
+// computed cache is zeroed (it memoizes pre-GC Refs) — both at the size
+// the survivors need. All outstanding Refs are invalidated: the caller
+// must rewrite each one through the returned Remap before touching the
+// engine again.
 func (e *Engine) GC(roots func(yield func(Ref))) (Remap, GCStats) {
-	n := int(e.nnodes.Load())
+	n := len(e.nodes)
 	live := make([]bool, n)
 	live[False], live[True] = true, true
 	roots(func(r Ref) {
@@ -87,7 +83,7 @@ func (e *Engine) GC(roots func(yield func(Ref))) (Remap, GCStats) {
 	// propagates liveness to the full reachable set.
 	for i := n - 1; i >= 2; i-- {
 		if live[i] {
-			nd := e.node(Ref(i))
+			nd := e.nodes[i]
 			live[nd.lo] = true
 			live[nd.hi] = true
 		}
@@ -100,7 +96,7 @@ func (e *Engine) GC(roots func(yield func(Ref))) (Remap, GCStats) {
 	counts := make([]int, e.nvars)
 	for i := 2; i < n; i++ {
 		if live[i] {
-			counts[e.node(Ref(i)).level]++
+			counts[e.nodes[i].level]++
 		}
 	}
 	cursor := make([]Ref, e.nvars)
@@ -116,48 +112,40 @@ func (e *Engine) GC(roots func(yield func(Ref))) (Remap, GCStats) {
 			remap[i] = deadRef
 			continue
 		}
-		lvl := e.node(Ref(i)).level
+		lvl := e.nodes[i].level
 		remap[i] = cursor[lvl]
 		cursor[lvl]++
 	}
-	// Materialize the compacted arena. A fresh chunk directory (rather
-	// than in-place moves) is required because level-ordering can move a
-	// node in either direction.
-	nchunks := (int(next) + chunkSize - 1) / chunkSize
-	dir := make([]*chunk, nchunks)
-	for i := range dir {
-		dir[i] = new(chunk)
-	}
-	dir[0][False] = node{level: int32(e.nvars), lo: False, hi: False}
-	dir[0][True] = node{level: int32(e.nvars), lo: True, hi: True}
+	// Materialize the compacted arena. A fresh slice (rather than
+	// in-place moves) is required because level-ordering can move a node
+	// in either direction.
+	nodes := make([]node, next)
+	nodes[False], nodes[True] = e.nodes[False], e.nodes[True]
 	for i := 2; i < n; i++ {
 		if !live[i] {
 			continue
 		}
-		nd := e.node(Ref(i))
+		nd := e.nodes[i]
 		nd.lo = remap[nd.lo]
 		nd.hi = remap[nd.hi]
-		ni := remap[i]
-		dir[ni>>chunkBits][ni&chunkMask] = nd
+		nodes[remap[i]] = nd
 	}
-	e.chunks.Store(&dir)
-	e.nnodes.Store(int64(next))
-	e.resetUnique(int(next))
-	for i := Ref(2); i < next; i++ {
-		nd := e.node(i)
-		e.uniqueInsert(nodeKey(nd.level, nd.lo, nd.hi), i)
+	e.nodes = nodes
+	e.rebuildUnique(slotsFor(len(nodes)))
+	if n := e.cacheSlots(); n != len(e.cache) {
+		e.cache = make([]iteSlot, n)
+	} else {
+		clear(e.cache)
 	}
-	e.dropCacheLocked()
 	st := GCStats{Before: n, After: int(next), Reclaimed: n - int(next)}
-	e.gcRuns.Add(1)
-	e.gcReclaimed.Add(uint64(st.Reclaimed))
+	e.gcRuns++
+	e.gcReclaimed += uint64(st.Reclaimed)
 	return remap, st
 }
 
-// GCRuns reports how many GC passes have completed. Safe for concurrent
-// use, like the other activity counters.
-func (e *Engine) GCRuns() uint64 { return e.gcRuns.Load() }
+// GCRuns reports how many GC passes have completed.
+func (e *Engine) GCRuns() uint64 { return e.gcRuns }
 
 // ReclaimedNodes reports the total node count swept across all GC
-// passes. Safe for concurrent use.
-func (e *Engine) ReclaimedNodes() uint64 { return e.gcReclaimed.Load() }
+// passes.
+func (e *Engine) ReclaimedNodes() uint64 { return e.gcReclaimed }

@@ -7,18 +7,21 @@ import (
 )
 
 // legacyPackedKey is the unique-table key computation this package
-// shipped with: level<<48 | lo<<24 | hi. It is kept here only to pin
-// down the collision the struct key fixed.
+// first shipped with: level<<48 | lo<<24 | hi. It is kept here only to
+// pin down the collision class the table must never reintroduce.
 func legacyPackedKey(level int32, lo, hi Ref) uint64 {
 	return uint64(level)<<48 | uint64(uint32(lo))<<24 | uint64(uint32(hi))
 }
 
-// TestUniqueKeyNoCollisionBeyond24Bits exercises the unique-table key
-// function directly at child Refs ≥ 2^24. Under the legacy packing each
-// pair below collapsed to one key (lo bled into the level bits, hi into
-// the lo bits), so mk would have returned an unrelated node; the struct
-// key must keep every pair distinct. The test fails if nodeKey is ever
-// reverted to the packed form.
+// TestUniqueKeyNoCollisionBeyond24Bits pins the unique table at child
+// Refs ≥ 2^24. Under the legacy packing each pair below collapsed to one
+// key (lo bled into the level bits, hi into the lo bits), so mk would
+// have returned an unrelated node. The table stores no keys — a probe
+// compares against the node itself — so the pair must stay two nodes
+// even when both sit in one probe sequence: the first triple fills every
+// slot of a four-slot table but the one just before the second triple's
+// home, so the second lookup walks past the first node on every step.
+// (find never dereferences children, so no 2^24-node engine is needed.)
 func TestUniqueKeyNoCollisionBeyond24Bits(t *testing.T) {
 	const big = Ref(1 << 24)
 	pairs := []struct {
@@ -32,14 +35,25 @@ func TestUniqueKeyNoCollisionBeyond24Bits(t *testing.T) {
 		{"both children bleed", 5, 5, big + 3, big + 7, 3, 7},
 	}
 	for _, p := range pairs {
-		a := nodeKey(p.aLevel, p.aLo, p.aHi)
-		b := nodeKey(p.bLevel, p.bLo, p.bHi)
-		if a == b {
-			t.Errorf("%s: nodeKey(%d,%d,%d) == nodeKey(%d,%d,%d); distinct nodes share a unique-table key",
-				p.name, p.aLevel, p.aLo, p.aHi, p.bLevel, p.bLo, p.bHi)
-		}
 		if legacyPackedKey(p.aLevel, p.aLo, p.aHi) != legacyPackedKey(p.bLevel, p.bLo, p.bHi) {
 			t.Errorf("%s: fixture stale — pair no longer collides under the legacy packing", p.name)
+		}
+		e := newSized(8, 4, 2)
+		ra := Ref(len(e.nodes))
+		e.nodes = append(e.nodes, node{level: p.aLevel, lo: p.aLo, hi: p.aHi})
+		home := hashNode(p.bLevel, p.bLo, p.bHi) & 3
+		for i := range e.unique {
+			if uint64(i) != (home+3)&3 {
+				e.unique[i] = ra
+			}
+		}
+		got, slot := e.find(p.bLevel, p.bLo, p.bHi)
+		if got != 0 {
+			t.Fatalf("%s: find(%d,%d,%d) = %d after probing past node (%d,%d,%d); distinct nodes share a unique-table entry",
+				p.name, p.bLevel, p.bLo, p.bHi, got, p.aLevel, p.aLo, p.aHi)
+		}
+		if slot != (home+3)&3 {
+			t.Fatalf("%s: probe stopped at slot %d, want the one empty slot %d", p.name, slot, (home+3)&3)
 		}
 	}
 }

@@ -7,12 +7,9 @@ import "fmt"
 // only ever allocates nodes whose children already exist, store order is
 // children-before-parents, so the dump restores with one linear pass.
 // The returned slice is a copy — a later GC compaction cannot mutate it.
-// Exclusive-access only, like all structural methods.
 func (e *Engine) ExportNodes() []int32 {
-	n := int(e.nnodes.Load())
-	out := make([]int32, 0, 3*(n-2))
-	for i := 2; i < n; i++ {
-		nd := e.node(Ref(i))
+	out := make([]int32, 0, 3*(len(e.nodes)-2))
+	for _, nd := range e.nodes[2:] {
 		out = append(out, nd.level, int32(nd.lo), int32(nd.hi))
 	}
 	return out
@@ -42,8 +39,8 @@ func NewFromNodes(nvars int, dump []int32) (*Engine, error) {
 	if len(dump)%3 != 0 {
 		return nil, fmt.Errorf("bdd: restore: dump length %d is not a whole number of node triples", len(dump))
 	}
-	e := New(nvars)
 	n := len(dump) / 3
+	e := newSized(nvars, slotsFor(n+2), maxCacheSlots)
 	for i := 0; i < n; i++ {
 		level, lo, hi := dump[3*i], Ref(dump[3*i+1]), Ref(dump[3*i+2])
 		r := Ref(i + 2)
@@ -56,17 +53,15 @@ func NewFromNodes(nvars int, dump []int32) (*Engine, error) {
 		if lo == hi {
 			return nil, fmt.Errorf("bdd: restore: node %d is redundant (lo == hi == %d)", r, lo)
 		}
-		if e.node(lo).level <= level || e.node(hi).level <= level {
+		if e.nodes[lo].level <= level || e.nodes[hi].level <= level {
 			return nil, fmt.Errorf("bdd: restore: node %d at level %d has a child at an equal or smaller level", r, level)
 		}
-		key := nodeKey(level, lo, hi)
-		if _, dup := e.uniqueLookup(key); dup {
+		dup, slot := e.find(level, lo, hi)
+		if dup != 0 {
 			return nil, fmt.Errorf("bdd: restore: duplicate node (%d,%d,%d) at ref %d breaks hash consing", level, lo, hi, r)
 		}
-		if got := e.alloc(node{level: level, lo: lo, hi: hi}); got != r {
-			return nil, fmt.Errorf("bdd: restore: allocation drift (got ref %d, want %d)", got, r)
-		}
-		e.uniqueInsert(key, r)
+		e.nodes = append(e.nodes, node{level: level, lo: lo, hi: hi})
+		e.unique[slot] = r
 	}
 	return e, nil
 }
@@ -75,5 +70,5 @@ func NewFromNodes(nvars int, dump []int32) (*Engine, error) {
 // or an existing decision node). Restore paths use it to validate refs
 // recorded in checkpoint sections against the rebuilt node store.
 func (e *Engine) CheckRef(r Ref) bool {
-	return r >= 0 && int64(r) < e.nnodes.Load()
+	return r >= 0 && int(r) < len(e.nodes)
 }

@@ -23,11 +23,9 @@ import "repro/internal/bdd"
 // representation. *bdd.Engine satisfies it natively; *atoms.Engine
 // implements it over canonical interval sets.
 //
-// The concurrency contract follows the BDD engine's: the algebraic
-// operations and read-only walks are safe for concurrent use, while GC
-// (and any representation-specific structural method) requires
-// exclusive access, which Flash provides behind the owning worker's
-// mutex.
+// An Engine is single-owner: it holds no locks and its counters are
+// plain words, so all methods require the owner's exclusion, which Flash
+// provides with the subspace worker's mutex (w.mu).
 type Engine interface {
 	// NumVars reports the width of the Boolean universe (total header
 	// bits for the layout both representations compile against).
@@ -51,11 +49,10 @@ type Engine interface {
 	AnySat(r bdd.Ref) []bool
 	SatCount(r bdd.Ref) float64
 
-	// Activity counters (safe to sample concurrently). CacheEvictions
-	// counts what the representation's memo cache threw away to make
-	// room: computed-cache shard resets forced by the size cap on the
-	// BDD engine, entries overwritten by a colliding key in the atom
-	// engine's direct-mapped op cache.
+	// Activity counters. CacheEvictions counts what the representation's
+	// direct-mapped, lossy memo cache threw away to make room: entries
+	// overwritten by a colliding key (the ITE computed cache on the BDD
+	// engine, the op cache on the atom engine).
 	Ops() uint64
 	CacheStats() (hits, misses uint64)
 	CacheEvictions() uint64
@@ -64,7 +61,7 @@ type Engine interface {
 
 	// CheckInvariants verifies representation canonicity (flashcheck
 	// tier); GC runs a mark-and-sweep over the caller's root set and
-	// returns the dense old→new remap. Exclusive-access only.
+	// returns the dense old→new remap.
 	CheckInvariants() error
 	GC(roots func(yield func(bdd.Ref))) (bdd.Remap, bdd.GCStats)
 }

@@ -23,9 +23,8 @@ type SchedulerStats struct {
 
 // CacheStats aggregates the per-engine memo-cache counters: the ITE
 // computed cache on BDD subspaces, the op cache on atom subspaces.
-// Evictions (the bdd_cache_evictions metric) counts computed-cache shard
-// resets forced by the size cap on the former and entries overwritten by
-// a colliding key on the latter, whose cache is direct-mapped and lossy.
+// Both are direct-mapped and lossy; Evictions (the bdd_cache_evictions
+// metric) counts entries overwritten by a colliding key.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -112,6 +111,21 @@ type StatsSnapshot struct {
 	Subscribers int `json:"subscribers"`
 }
 
+// addEngine folds one worker's engine counters and live node count into
+// the snapshot. Engines are single-owner and their counters plain words:
+// callers read them (engineCounterBase.absorb) under the worker's mutex,
+// which also makes each worker's hits, misses and ops one coherent
+// sample.
+func (out *StatsSnapshot) addEngine(c engineCounterBase, nodes int) {
+	out.Cache.Hits += c.cacheHits
+	out.Cache.Misses += c.cacheMisses
+	out.Cache.Evictions += c.cacheEvictions
+	out.GC.Runs += c.gcRuns
+	out.GC.ReclaimedNodes += c.gcReclaimed
+	out.PredicateOps += c.ops
+	out.MemoryNodes += nodes
+}
+
 // StatsSnapshot takes a coherent snapshot of the builder's counters in a
 // single pass, flushing pending batched updates first so every facet
 // reflects the same applied-block history.
@@ -123,21 +137,13 @@ func (b *ModelBuilder) StatsSnapshot() StatsSnapshot {
 	out.Scheduler = SchedulerStats{Tasks: st.Tasks, Steals: st.Steals, Dispatches: st.Dispatches, Workers: b.pool.Workers()}
 	for _, w := range b.workers {
 		w.mu.Lock()
-		e := w.eng // Compact and hybrid cutover rotate the engine under w.mu
-		base := w.base
 		out.Transform.add(w.transform.Stats())
 		out.ECs += w.transform.Model().Len()
-		out.MemoryNodes += e.NumNodes() + w.transform.Store.NumNodes()
+		out.MemoryNodes += w.transform.Store.NumNodes()
+		total := w.base // counters of engines Compact and cutover rotated away
+		total.absorb(w.eng)
+		out.addEngine(total, w.eng.NumNodes())
 		w.mu.Unlock()
-		// The engine counters are atomics; reading them outside w.mu keeps
-		// running workers unblocked.
-		h, m := e.CacheStats()
-		out.Cache.Hits += base.cacheHits + h
-		out.Cache.Misses += base.cacheMisses + m
-		out.Cache.Evictions += base.cacheEvictions + e.CacheEvictions()
-		out.GC.Runs += base.gcRuns + e.GCRuns()
-		out.GC.ReclaimedNodes += base.gcReclaimed + e.ReclaimedNodes()
-		out.PredicateOps += base.ops + e.Ops()
 	}
 	return out
 }
@@ -152,22 +158,16 @@ func (s *System) StatsSnapshot() StatsSnapshot {
 	out.Scheduler = SchedulerStats{Tasks: st.Tasks, Steals: st.Steals, Dispatches: st.Dispatches, Workers: s.pool.Workers()}
 	for _, w := range s.workers {
 		w.mu.Lock()
-		e := w.eng
 		w.disp.EachVerifier(func(_ ce2d.Epoch, v *ce2d.Verifier) {
 			tr := v.Transformer()
 			out.Transform.add(tr.Stats())
 			out.ECs += tr.Model().Len()
 			out.MemoryNodes += tr.Store.NumNodes()
 		})
-		out.MemoryNodes += e.NumNodes()
+		var total engineCounterBase
+		total.absorb(w.eng)
+		out.addEngine(total, w.eng.NumNodes())
 		w.mu.Unlock()
-		h, m := e.CacheStats()
-		out.Cache.Hits += h
-		out.Cache.Misses += m
-		out.Cache.Evictions += e.CacheEvictions()
-		out.GC.Runs += e.GCRuns()
-		out.GC.ReclaimedNodes += e.ReclaimedNodes()
-		out.PredicateOps += e.Ops()
 	}
 	out.Poisoned = s.PoisonedSubspaces()
 	out.Snapshots = int(s.snapCount.Load())
