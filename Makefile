@@ -54,14 +54,15 @@ race-hot:
 # The predicate engines' trust anchors under the race detector: both
 # engines' whole suites (algebra, tiny-table oracles, GC, restore), the
 # differential oracle across predicate modes — including the mid-stream
-# atom→BDD cutover — and StatsSnapshot beside a running feed. The
-# engines are single-owner and hold no locks, so the detector is the
-# owner assertion: a path that reaches one without w.mu fails here.
-# Whole packages and a -run pattern naming live tests only: a pattern
-# that matches nothing passes silently.
+# atom→BDD cutover — StatsSnapshot beside a running feed, and the
+# counters staying monotone across a feed- or checkpoint-fired cutover.
+# The engines are single-owner and hold no locks, so the detector is the
+# owner assertion: a path that reaches one without the subspace mutex
+# fails here. Whole packages and a -run pattern naming live tests only:
+# a pattern that matches nothing passes silently.
 pred-race:
 	$(GO) test -race -count=1 ./internal/bdd ./internal/atoms
-	$(GO) test -race -count=1 -run 'TestDifferential|TestStatsSnapshotRacesFeed' .
+	$(GO) test -race -count=1 -run 'TestDifferential|TestStatsSnapshotRacesFeed|TestCountersMonotoneAcrossCutover' .
 
 # One benchmark per table/figure; BenchmarkIMT* guards the Fast IMT
 # hot path against regressions (metrics disabled).
@@ -98,10 +99,11 @@ bench-record:
 	$(GO) run ./cmd/flashbench -exp shards -scale small -record BENCH_flash.json
 
 # Memory-management soak: sustained prefix-mutating churn through a
-# small memory budget, under the race detector. Asserts the live node
-# sawtooth stays bounded, GC'd models are byte-identical to unbounded
-# runs, counters stay monotone across Compact, and GC keeps running
-# while a sibling subspace is quarantined.
+# small memory budget (which only ever runs the in-engine GC), under the
+# race detector. Asserts the live node sawtooth stays bounded, GC'd
+# models are byte-identical to unbounded runs, counters stay monotone
+# across an explicit Compact, and GC keeps running while a sibling
+# subspace is quarantined.
 soak:
 	$(GO) test -race -count=1 -run 'TestSoak|TestChaosGCUnderPoisoning' .
 

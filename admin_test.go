@@ -79,7 +79,14 @@ func TestAdminMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("/healthz = %q", body)
 	}
 
-	// /metrics reflects the fed update block.
+	// /metrics reflects the fed update block. The result fires inside the
+	// last frame's handler, before the wire server counts that frame, so
+	// wait for the count to land.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if v, _ := reg.Snapshot().Get("wire", "frames_rx"); v >= int64(len(msgs)) {
+			break
+		}
+	}
 	var snap obs.Snapshot
 	if err := json.Unmarshal(get(t, admin.URL+"/metrics"), &snap); err != nil {
 		t.Fatalf("/metrics is not valid JSON: %v", err)

@@ -13,12 +13,9 @@ import (
 	"repro/internal/ce2d"
 	"repro/internal/ckpt"
 	"repro/internal/fib"
-	"repro/internal/hs"
 	"repro/internal/imt"
 	"repro/internal/obs"
 	"repro/internal/pat"
-	"repro/internal/pred"
-	"repro/internal/sched"
 )
 
 // This file is the serving-plane half of the checkpoint/restore
@@ -381,10 +378,6 @@ func newSystemFromCheckpoint(cfg Config, c *ckpt.Checkpoint) (*System, error) {
 	if int(c.Meta.NVars) != cfg.Layout.TotalBits() {
 		return nil, fmt.Errorf("flash: restore: checkpoint has %d BDD variables, layout wants %d", c.Meta.NVars, cfg.Layout.TotalBits())
 	}
-	set, err := cfg.subspaceSet(nglobal)
-	if err != nil {
-		return nil, err
-	}
 	byIdx := make(map[int]ckpt.Subspace, len(c.Subspaces))
 	for _, sub := range c.Subspaces {
 		i := int(sub.Index)
@@ -397,88 +390,53 @@ func newSystemFromCheckpoint(cfg Config, c *ckpt.Checkpoint) (*System, error) {
 		byIdx[i] = sub
 	}
 
-	s := &System{cfg: cfg, poisoned: make(map[int]string)}
-	s.bus = newVerdictBus(cfg.Metrics)
-	s.bus.importState(c.Verdicts)
-	s.workerPanics = cfg.Metrics.Sub("ce2d").Counter("worker_panics")
 	// Checkpoint sections outside the configured subspace set are simply
 	// not instantiated: a full-set checkpoint restores cleanly into a
 	// shard replica owning any subset (and vice versa, with the missing
 	// subspaces starting fresh).
-	for _, i := range set {
-		sub, restored := byIdx[i]
-		var space *hs.Space
-		if restored {
-			e, err := bdd.NewFromNodes(cfg.Layout.TotalBits(), sub.BDD)
-			if err != nil {
-				return nil, fmt.Errorf("flash: restore subspace %d: %w", i, err)
-			}
-			space = hs.NewSpaceOn(e, cfg.Layout)
-		} else {
-			space = hs.NewSpace(cfg.Layout)
+	s, err := newSystem(cfg, func(i int) (*sysWorker, error) {
+		sub, ok := byIdx[i]
+		if !ok {
+			return newSysWorker(cfg, i, nil)
 		}
-		universe := cfg.subspacePreds(space)[i]
-		checks, _, err := compileChecks(cfg, func(d MatchDesc) (bdd.Ref, bool) { return space.Compile(d), true })
+		e, err := bdd.NewFromNodes(cfg.Layout.TotalBits(), sub.BDD)
+		if err != nil {
+			return nil, fmt.Errorf("flash: restore subspace %d: %w", i, err)
+		}
+		w, err := newSysWorker(cfg, i, e)
 		if err != nil {
 			return nil, err
 		}
-		// Restored subspaces always come back in BDD mode: the checkpoint
-		// holds a BDD node dump (capture converts atom subspaces first).
-		w := &sysWorker{cfg: cfg, idx: i, space: space, eng: space.E, universe: universe, checks: checks, budget: cfg.MemoryBudget}
-		sreg := cfg.Metrics.Sub("ce2d").Sub("subspace" + strconv.Itoa(i))
-		ireg := sreg.Sub("imt")
-		factory := func(ce2d.Epoch) *ce2d.Verifier {
-			v := ce2d.NewVerifier(ce2d.Config{
-				Topo:     cfg.Topo,
-				Engine:   w.eng,
-				Universe: w.universe,
-				Checks:   w.checks,
-				Succ:     cfg.Succ,
-			})
-			v.Transformer().Tag = "ce2d/subspace" + strconv.Itoa(i)
-			v.Transformer().Instrument(ireg)
-			return v
+		if err := w.restore(sub); err != nil {
+			return nil, fmt.Errorf("flash: restore subspace %d: %w", i, err)
 		}
-		if restored {
-			w.disp, err = restoreDispatcher(cfg, w, sub, universe, ireg, factory)
-			if err != nil {
-				return nil, fmt.Errorf("flash: restore subspace %d: %w", i, err)
-			}
-		} else {
-			w.disp = ce2d.NewDispatcher(factory)
-		}
-		w.disp.Instrument(sreg)
-		if sreg != nil {
-			w.feedNs = sreg.Histogram("feed_ns")
-			w.gcPauseNs = sreg.Histogram("bdd_gc_pause_ns")
-			instrumentWorkerEngine(sreg, &w.mu,
-				func() (pred.Engine, *pat.Store) { return w.eng, nil },
-				func() engineCounterBase { return engineCounterBase{} })
-		}
-		s.workers = append(s.workers, w)
-	}
-	s.pool = sched.NewPool(cfg.Workers, len(s.workers))
-	s.pool.Instrument(cfg.Metrics.Sub("sched"))
-	return s, nil
-}
-
-// restoreDispatcher rebuilds one subspace's dispatcher, verifier, and
-// Fast IMT state from its checkpoint section. The worker's engine is
-// already the restored one (w.space.E).
-func restoreDispatcher(cfg Config, w *sysWorker, sub ckpt.Subspace, universe bdd.Ref, ireg *obs.Registry, factory func(ce2d.Epoch) *ce2d.Verifier) (*ce2d.Dispatcher, error) {
-	e := w.space.E
-	if bdd.Ref(sub.Universe) != universe {
-		return nil, fmt.Errorf("universe predicate mismatch (checkpoint %d, config %d)", sub.Universe, universe)
-	}
-	store, err := pat.NewStoreFromNodes(sub.PAT)
+		return w, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	model := &imt.Model{ECs: make(map[pat.Ref]bdd.Ref, len(sub.ECs)), Universe: universe}
+	s.bus.importState(c.Verdicts)
+	return s, nil
+}
+
+// restore rebuilds the subspace's dispatcher, its most-converged
+// verifier and that verifier's Fast IMT state from a checkpoint section.
+// The core already runs on the engine replayed from the section's node
+// dump (newSysWorker); the worker is not yet shared.
+func (w *sysWorker) restore(sub ckpt.Subspace) error {
+	e := w.space.E
+	if bdd.Ref(sub.Universe) != w.universe {
+		return fmt.Errorf("universe predicate mismatch (checkpoint %d, config %d)", sub.Universe, w.universe)
+	}
+	store, err := pat.NewStoreFromNodes(sub.PAT)
+	if err != nil {
+		return err
+	}
+	model := &imt.Model{ECs: make(map[pat.Ref]bdd.Ref, len(sub.ECs)), Universe: w.universe}
 	for _, ec := range sub.ECs {
 		vec := pat.Ref(ec.Vec)
 		if _, dup := model.ECs[vec]; dup {
-			return nil, fmt.Errorf("duplicate EC vector %d", ec.Vec)
+			return fmt.Errorf("duplicate EC vector %d", ec.Vec)
 		}
 		model.ECs[vec] = bdd.Ref(ec.Pred)
 	}
@@ -486,29 +444,23 @@ func restoreDispatcher(cfg Config, w *sysWorker, sub ckpt.Subspace, universe bdd
 	for _, dt := range sub.Tables {
 		dev := fib.DeviceID(dt.Device)
 		if _, dup := tables[dev]; dup {
-			return nil, fmt.Errorf("duplicate table for device %d", dev)
+			return fmt.Errorf("duplicate table for device %d", dev)
 		}
 		tables[dev] = fib.NewTable(dt.Rules...)
 	}
 	trans, err := imt.RestoreTransformer(e, store, model, tables, "ce2d/subspace"+strconv.Itoa(w.idx))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	trans.Instrument(ireg)
+	trans.Instrument(w.metrics.Sub("imt"))
 
 	syncOrder := make([]fib.DeviceID, len(sub.SyncOrder))
 	for i, d := range sub.SyncOrder {
 		syncOrder[i] = fib.DeviceID(d)
 	}
-	v, err := ce2d.RestoreVerifier(ce2d.Config{
-		Topo:     cfg.Topo,
-		Engine:   e,
-		Universe: universe,
-		Checks:   w.checks,
-		Succ:     cfg.Succ,
-	}, trans, syncOrder)
+	v, err := ce2d.RestoreVerifier(w.verifierConfig(), trans, syncOrder)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	st := ce2d.DispatcherState{
@@ -529,13 +481,13 @@ func restoreDispatcher(cfg Config, w *sysWorker, sub ckpt.Subspace, universe bdd
 	for _, dq := range sub.Queues {
 		dev := fib.DeviceID(dq.Device)
 		if _, dup := st.Queues[dev]; dup {
-			return nil, fmt.Errorf("duplicate queue for device %d", dev)
+			return fmt.Errorf("duplicate queue for device %d", dev)
 		}
 		var q []ce2d.Msg
 		for _, m := range dq.Msgs {
 			for _, u := range m.Updates {
 				if !e.CheckRef(u.Rule.Match) {
-					return nil, fmt.Errorf("queued rule match ref %d for device %d outside restored engine", u.Rule.Match, dev)
+					return fmt.Errorf("queued rule match ref %d for device %d outside restored engine", u.Rule.Match, dev)
 				}
 			}
 			q = append(q, ce2d.Msg{Device: dev, Epoch: ce2d.Epoch(m.Epoch), Updates: m.Updates})
@@ -545,5 +497,11 @@ func restoreDispatcher(cfg Config, w *sysWorker, sub ckpt.Subspace, universe bdd
 	for _, dc := range sub.Fed {
 		st.Fed[fib.DeviceID(dc.Device)] = int(dc.Count)
 	}
-	return ce2d.RestoreDispatcher(factory, st, v)
+	disp, err := ce2d.RestoreDispatcher(w.newVerifier, st, v)
+	if err != nil {
+		return err
+	}
+	disp.Instrument(w.metrics)
+	w.disp = disp
+	return nil
 }

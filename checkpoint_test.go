@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bdd"
 	"repro/internal/ckpt"
 	"repro/internal/hs"
 	"repro/internal/obs"
@@ -343,5 +344,111 @@ func TestSnapshotReleaseRacesCheckpoint(t *testing.T) {
 		t.Fatalf("restore after churn: %v", err)
 	} else if rep.SkippedCorrupt != 0 {
 		t.Fatalf("churn produced %d corrupt checkpoints", rep.SkippedCorrupt)
+	}
+}
+
+// TestRestoreAbsentSubspaceStartsFresh: a subspace the checkpoint does
+// not hold starts exactly as NewSystem would start it. A hybrid shard
+// replica owning subspace 0 checkpoints (the capture converts it to
+// BDD); restoring with the full set brings subspace 0 back on BDD from
+// its node dump and starts subspace 1 in the mode a fresh hybrid System
+// gives it — atoms.
+func TestRestoreAbsentSubspaceStartsFresh(t *testing.T) {
+	hybrid := func(extra ...Option) []Option {
+		return ckptSysOpts(append([]Option{WithPredicateMode(PredicateHybrid)}, extra...)...)
+	}
+	replica, err := NewSystem(hybrid(WithSubspaceSet(0))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replica.FeedContext(context.Background(), Msg{Device: 0, Epoch: "e1", Updates: []Update{wildcard(1, Forward(1))}}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := replica.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	sys, rep, err := Restore(dir, hybrid()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Subspaces != 1 {
+		t.Fatalf("restored %d subspaces from the checkpoint, want 1", rep.Subspaces)
+	}
+	fresh, err := NewSystem(hybrid()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"bdd", fresh.PredicateModes()[1]}
+	if want[1] != "atoms" {
+		t.Fatalf("a fresh hybrid System starts subspace 1 on %q, want atoms", want[1])
+	}
+	if got := sys.PredicateModes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored modes = %v, want %v", got, want)
+	}
+}
+
+// TestRestoreEarlierCheckpoint restores testdata/ckpt-subspaces4: four
+// subspaces checkpointed three fifths into chaosWorkload by code that
+// minted each engine's universe after compiling all four subspace
+// prefixes on it, so the recorded universe refs depend on that order.
+// Restore now compiles only the subspace's own prefix; hash-consing
+// must find the recorded node, and the restored system must then finish
+// the stream exactly like one that never stopped.
+func TestRestoreEarlierCheckpoint(t *testing.T) {
+	const dir = "testdata/ckpt-subspaces4"
+	_, _, msgs := chaosWorkload(t)
+	cut := len(msgs) * 3 / 5
+	opts := ckptSysOpts(WithSubspaces(4, ""))
+
+	c, err := ckpt.Load(ckpt.Candidates(dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, sub := range c.Subspaces {
+		w, err := newSysWorker(buildConfig(opts), int(sub.Index), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.universe != bdd.Ref(sub.Universe) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("every recorded universe ref equals a fresh engine's; the fixture proves nothing")
+	}
+
+	restored, rep, err := Restore(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SkippedCorrupt != 0 || rep.Subspaces != 4 {
+		t.Fatalf("restore report %+v, want all 4 subspaces and nothing skipped", rep)
+	}
+	live, err := NewSystem(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range msgs {
+		if i >= cut {
+			if _, err := restored.FeedContext(context.Background(), m); err != nil {
+				t.Fatalf("restored suffix: %v", err)
+			}
+		}
+		if _, err := live.FeedContext(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	final := msgs[len(msgs)-1].Epoch
+	want, err := live.ModelFingerprint(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := restored.ModelFingerprint(final); err != nil || got != want {
+		t.Fatalf("restored fingerprint %s (err %v), live %s", got, err, want)
+	}
+	if !reflect.DeepEqual(restored.Verdicts(), live.Verdicts()) {
+		t.Fatalf("verdicts diverge:\n  live     %v\n  restored %v", live.Verdicts(), restored.Verdicts())
 	}
 }

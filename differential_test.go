@@ -243,31 +243,40 @@ func diffStream(t *testing.T, seq []workload.DevUpdate, perEpoch int) [][]Msg {
 	return epochs
 }
 
-// feedUnrouted applies one message the way every version before
+// unrouted applies one epoch's messages the way every version before
 // route-before-compile did: every subspace worker compiles every update
 // and finds out by itself which ones miss its universe. It is the
-// reference the routed FeedBatch path is held to.
-func feedUnrouted(t *testing.T, sys *System, m Msg) []Result {
+// reference the routed FeedBatch and ApplyBlock paths are held to. A
+// *System takes the messages one by one and returns their results; a
+// *ModelBuilder applies them as one block list.
+func unrouted(t *testing.T, target any, msgs []Msg) []Result {
 	t.Helper()
 	var out []Result
-	for _, w := range sys.workers {
-		rs, err := w.feedAll(context.Background(), []Msg{m}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
+	switch x := target.(type) {
+	case *System:
+		for _, m := range msgs {
+			for _, w := range x.workers {
+				rs, err := w.feedAll(context.Background(), []Msg{m}, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, rs[0]...)
+			}
 		}
-		out = append(out, rs[0]...)
+	case *ModelBuilder:
+		blocks := make([]DeviceBlock, len(msgs))
+		for i, m := range msgs {
+			blocks[i] = DeviceBlock{Device: m.Device, Updates: m.Updates}
+		}
+		for _, w := range x.workers {
+			if err := w.apply(blocks, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	default:
+		t.Fatalf("unrouted: %T is neither a System nor a ModelBuilder", target)
 	}
 	return out
-}
-
-// applyUnrouted is feedUnrouted for a ModelBuilder.
-func applyUnrouted(t *testing.T, b *ModelBuilder, blocks []DeviceBlock) {
-	t.Helper()
-	for _, w := range b.workers {
-		if err := w.apply(blocks, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestDifferentialVerdictOracle: the verdict multiset and final model
@@ -310,10 +319,8 @@ func TestDifferentialVerdictOracle(t *testing.T) {
 				}
 				continue
 			}
-			for _, m := range msgs {
-				for _, r := range feedUnrouted(t, sys, m) {
-					verdicts = append(verdicts, r.String())
-				}
+			for _, r := range unrouted(t, sys, msgs) {
+				verdicts = append(verdicts, r.String())
 			}
 		}
 		sort.Strings(verdicts)
@@ -693,10 +700,8 @@ func TestDifferentialRoutedMixedStream(t *testing.T) {
 		sys := newSys(WithWorkers(cfg.workers), WithBatch(cfg.batch), WithPredicateMode(cfg.mode))
 		var want, got []string
 		for e, msgs := range epochs {
-			for _, m := range msgs {
-				for _, r := range feedUnrouted(t, ref, m) {
-					want = append(want, r.String())
-				}
+			for _, r := range unrouted(t, ref, msgs) {
+				want = append(want, r.String())
 			}
 			rs, err := sys.FeedBatch(context.Background(), msgs)
 			if err != nil {
@@ -742,7 +747,7 @@ func TestDifferentialRoutedMixedStream(t *testing.T) {
 			for i, m := range msgs {
 				blocks[i] = DeviceBlock{Device: m.Device, Updates: m.Updates}
 			}
-			applyUnrouted(t, refB, blocks)
+			unrouted(t, refB, msgs)
 			if err := b.ApplyBlock(blocks); err != nil {
 				t.Fatal(err)
 			}

@@ -9,27 +9,16 @@ package flash
 // applies).
 func (s *System) SetFeedHook(f func(subspace int, m Msg)) { s.feedHook = f }
 
-// WorkerNodeCounts reports each subspace worker's live predicate node
-// count (BDD nodes or atom interval sets, whichever representation is
-// live), for the soak tests' bounded-memory assertions.
-func (b *ModelBuilder) WorkerNodeCounts() []int {
-	out := make([]int, len(b.workers))
-	for i, w := range b.workers {
-		w.mu.Lock()
-		out[i] = w.eng.NumNodes()
-		w.mu.Unlock()
-	}
-	return out
-}
-
-// WorkerNodeCounts reports each subspace worker's live predicate node
-// count.
-func (s *System) WorkerNodeCounts() []int {
-	out := make([]int, len(s.workers))
-	for i, w := range s.workers {
-		w.mu.Lock()
-		out[i] = w.eng.NumNodes()
-		w.mu.Unlock()
+// workerNodeCounts reports each worker's live predicate node count (BDD
+// nodes or atom interval sets, whichever representation is live), for
+// the soak tests' bounded-memory assertions.
+func workerNodeCounts[W worker](ws []W) []int {
+	out := make([]int, len(ws))
+	for i, w := range ws {
+		c := w.core()
+		c.mu.Lock()
+		out[i] = c.eng.NumNodes()
+		c.mu.Unlock()
 	}
 	return out
 }

@@ -33,7 +33,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -42,10 +41,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/atoms"
 	"repro/internal/bdd"
 	"repro/internal/ce2d"
-	"repro/internal/deltanet"
 	"repro/internal/fib"
 	"repro/internal/hs"
 	"repro/internal/imt"
@@ -266,9 +263,7 @@ type Config struct {
 	// MemoryBudget bounds each subspace worker's live BDD node count.
 	// After a worker applies a block (or feeds a message batch, for a
 	// System), an engine grown past the budget runs an in-engine
-	// mark-and-sweep GC; a ModelBuilder worker additionally falls back
-	// to a full Compact rotation when collection alone cannot get back
-	// under the budget. <= 0 (the default) disables automatic
+	// mark-and-sweep GC. <= 0 (the default) disables automatic
 	// reclamation. The budget is per worker, so total model memory
 	// scales with the subspace count.
 	MemoryBudget int
@@ -287,31 +282,11 @@ type Config struct {
 	Logger *log.Logger
 }
 
-func (c *Config) subspacePreds(s *hs.Space) []bdd.Ref {
-	n := c.Subspaces
-	if n <= 1 {
-		return []bdd.Ref{bdd.True}
-	}
-	bits := 0
-	for 1<<uint(bits) < n {
-		bits++
-	}
-	if 1<<uint(bits) != n {
-		panic(fmt.Sprintf("flash: subspace count %d is not a power of two", n))
-	}
-	field := c.subspaceField()
-	width := c.Layout.FieldBits(field)
-	out := make([]bdd.Ref, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.Prefix(field, uint64(i)<<uint(width-bits), bits)
-	}
-	return out
-}
-
 // subspaceDesc is the symbolic form of subspace i's universe predicate:
-// nil (match-all) when partitioning is off, else the same prefix
-// constraint subspacePreds compiles on a BDD space — which is what lets
-// an atom-mode worker mint its universe without any BDD engine.
+// nil (match-all) when partitioning is off, else the top log2(n) bits of
+// the partition field equal to i. Both engines mint a subspace's
+// universe by compiling it. It panics when the subspace count is not a
+// power of two.
 func (c *Config) subspaceDesc(i int) fib.MatchDesc {
 	n := c.Subspaces
 	if n <= 1 {
@@ -320,6 +295,9 @@ func (c *Config) subspaceDesc(i int) fib.MatchDesc {
 	bits := 0
 	for 1<<uint(bits) < n {
 		bits++
+	}
+	if 1<<uint(bits) != n {
+		panic(fmt.Sprintf("flash: subspace count %d is not a power of two", n))
 	}
 	field := c.subspaceField()
 	width := c.Layout.FieldBits(field)
@@ -396,116 +374,6 @@ func (c *Config) routeBlocks(blocks []DeviceBlock) routeTable {
 	return out
 }
 
-// matchCompiler is what compileUpdates needs of a subspace worker: both
-// worker kinds compile a descriptor against their universe under their
-// own lock, cutting over to BDD first when atoms cannot hold it.
-type matchCompiler interface {
-	compileLocked(fib.MatchDesc) bdd.Ref
-}
-
-// compileUpdates compiles one device's symbolic updates for subspace
-// idx (routes[i] belongs to ups[i]; nil routes everything here),
-// dropping those whose match misses the subspace: by route when the
-// prefix alone told — no compile, no predicate operation — else by the
-// compiled match coming back empty. Callers hold the worker's lock.
-func compileUpdates(w matchCompiler, idx int, ups []Update, routes []route) []fib.Update {
-	var out []fib.Update
-	for i, u := range ups {
-		if routes != nil && routes[i].misses(idx) {
-			continue
-		}
-		match := w.compileLocked(u.Rule.Desc)
-		if match == bdd.False {
-			continue
-		}
-		out = append(out, fib.Update{
-			Op: u.Op,
-			Rule: fib.Rule{
-				ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
-				Match: match, Desc: u.Rule.Desc,
-			},
-		})
-	}
-	return out
-}
-
-// compileBlocks is compileUpdates over a block list; blocks left with no
-// update in this subspace are dropped.
-func compileBlocks(w matchCompiler, idx int, blocks []DeviceBlock, routes routeTable) []fib.Block {
-	out := make([]fib.Block, 0, len(blocks))
-	for i, db := range blocks {
-		if ups := compileUpdates(w, idx, db.Updates, routes.at(i)); len(ups) > 0 {
-			out = append(out, fib.Block{Device: db.Device, Updates: ups})
-		}
-	}
-	return out
-}
-
-// atomCompile compiles a match descriptor on the atom engine,
-// reporting ok=false when the descriptor leaves the atom regime: a
-// non-prefix kind, a multi-field constraint, or an interval explosion
-// (the engine's own compile bound included). A malformed descriptor
-// panics like hs.Space.Compile would, keeping the two paths' failure
-// behavior aligned.
-func atomCompile(am *atoms.Engine, lay *hs.Layout, desc fib.MatchDesc) (bdd.Ref, bool) {
-	if len(desc) > 1 {
-		return bdd.False, false
-	}
-	for _, f := range desc {
-		if f.Kind != fib.MatchPrefix {
-			return bdd.False, false
-		}
-	}
-	r, err := am.Compile(lay, desc)
-	if err != nil {
-		if errors.Is(err, deltanet.ErrIntervalExplosion) {
-			return bdd.False, false
-		}
-		panic(fmt.Sprintf("flash: bad match descriptor %v: %v", desc, err))
-	}
-	return r, true
-}
-
-// newAtomSubspace tries to start subspace idx on the atom engine:
-// possible when the header line fits the 63-bit atom universe and the
-// subspace predicate itself is a pure prefix interval set.
-func newAtomSubspace(cfg Config, idx int) (*atoms.Engine, bdd.Ref, bool) {
-	if cfg.Layout.TotalBits() > atoms.MaxVars {
-		return nil, bdd.False, false
-	}
-	am := atoms.New(cfg.Layout.TotalBits())
-	uni, ok := atomCompile(am, cfg.Layout, cfg.subspaceDesc(idx))
-	if !ok {
-		return nil, bdd.False, false
-	}
-	return am, uni, true
-}
-
-// atomConvert rebuilds every live atom ref on a fresh BDD space and
-// returns the conversion Remap — the cutover's core. Yielded refs map
-// to their BDD equivalents (an OR of prefix cubes per interval);
-// everything un-yielded is dead, so a held-but-not-enumerated Ref
-// panics in Apply exactly as it would after a GC pass. Terminals map to
-// terminals because both engines pin False=0, True=1.
-func atomConvert(am *atoms.Engine, space *hs.Space, roots func(func(bdd.Ref))) bdd.Remap {
-	remap := make(bdd.Remap, am.NumRefs())
-	for i := range remap {
-		remap[i] = -1
-	}
-	remap[bdd.False], remap[bdd.True] = bdd.False, bdd.True
-	roots(func(r bdd.Ref) {
-		if remap[r] >= 0 {
-			return
-		}
-		nr := bdd.False
-		for _, iv := range am.Intervals(r) {
-			nr = space.E.Or(nr, space.LineRange(iv.Lo, iv.Hi))
-		}
-		remap[r] = nr
-	})
-	return remap
-}
-
 // subspaceSet resolves the global subspace indices a System
 // instantiates: the validated, sorted, deduplicated SubspaceSet when
 // non-empty, else all of [0, n).
@@ -559,161 +427,30 @@ type ModelBuilder struct {
 	dispatchMu sync.Mutex //flashvet:lockrank 10
 }
 
-// mbWorker owns one subspace: its active engine is eng (the BDD engine
-// behind space, or the atom engine am while the subspace runs in the
-// hybrid atom regime), and universe is a ref minted by that engine.
-//
-//flashvet:allow bddref — universe is owned by eng, the worker's single engine
+// mbWorker is one builder subspace: the core plus the Fast IMT
+// transformer (EC model + device tables) and, under WithBatch, its
+// batcher.
 type mbWorker struct {
-	mu  sync.Mutex //flashvet:lockrank 20
-	cfg Config
-	idx int // global subspace index
-	// eng is the active predicate engine. Exactly one of space/am backs
-	// it: space.E in BDD mode (am nil), am in atom mode (space nil).
-	eng       pred.Engine
-	space     *hs.Space
-	am        *atoms.Engine
-	universe  bdd.Ref
+	subspace
 	transform *imt.Transformer
-	batch     *imt.Batcher  // nil unless cfg.Batch > 1
-	metrics   *obs.Registry // nil when uninstrumented
-	// cutovers counts one-way atom→BDD conversions (0 or 1).
-	cutovers int
-
-	// base carries the monotone counters of engines this worker has
-	// rotated away (Compact and the hybrid cutover discard the engine,
-	// not its history), so PredicateOps/CacheStats/GC totals never move
-	// backwards.
-	base engineCounterBase
-	// compactFloor remembers the node count a Compact rotation reached
-	// while still above the budget. While the floor exceeds the budget a
-	// further rotation cannot help (the live state itself is too big),
-	// so the worker keeps the cheap GC-only sawtooth instead of rotating
-	// after every block. Reset once the engine fits the budget again.
-	compactFloor int
-	gcPauseNs    *obs.Histogram // stop-the-world GC pause (nil = off)
+	batch     *imt.Batcher // nil unless cfg.Batch > 1
 }
 
-// engineCounterBase accumulates the monotone activity counters of
-// discarded engines.
-type engineCounterBase struct {
-	ops, cacheHits, cacheMisses, cacheEvictions uint64
-	gcRuns, gcReclaimed                         uint64
-}
-
-// absorb folds a to-be-discarded engine's counters into the base.
-func (b *engineCounterBase) absorb(e pred.Engine) {
-	b.ops += e.Ops()
-	h, m := e.CacheStats()
-	b.cacheHits += h
-	b.cacheMisses += m
-	b.cacheEvictions += e.CacheEvictions()
-	b.gcRuns += e.GCRuns()
-	b.gcReclaimed += e.ReclaimedNodes()
-}
-
-// Roots enumerates every BDD ref the worker's state holds: the subspace
-// universe, the header-space variable cache, the Fast IMT transformer
-// (EC model + device tables), and any buffered batch updates. It is the
-// worker's GC root set.
-func (w *mbWorker) Roots(yield func(bdd.Ref)) {
-	yield(w.universe)
-	if w.space != nil {
-		w.space.Roots(yield)
-	}
+func (w *mbWorker) roleRoots(yield func(bdd.Ref)) {
 	w.transform.Roots(yield)
 	if w.batch != nil {
 		w.batch.Roots(yield)
 	}
 }
 
-// gcLocked runs a mark-and-sweep pass on the worker's engine and
-// rewrites all held refs through the remap. Callers hold w.mu.
-func (w *mbWorker) gcLocked() bdd.GCStats {
-	start := time.Now()
-	remap, st := w.eng.GC(w.Roots)
-	w.universe = remap.Apply(w.universe)
-	if w.space != nil {
-		w.space.RemapRefs(remap)
-	}
-	w.transform.RemapRefs(remap)
+func (w *mbWorker) remapRole(m bdd.Remap) {
+	w.transform.RemapRefs(m)
 	if w.batch != nil {
-		w.batch.RemapRefs(remap)
+		w.batch.RemapRefs(m)
 	}
-	w.gcPauseNs.Observe(time.Since(start))
-	return st
 }
 
-// compileLocked compiles a rule match on the active engine,
-// intersected with the subspace universe. In atom mode a descriptor
-// the atom representation cannot hold triggers the one-way cutover to
-// BDD first, then compiles there. Callers hold w.mu.
-func (w *mbWorker) compileLocked(desc fib.MatchDesc) bdd.Ref {
-	if w.am != nil {
-		if r, ok := atomCompile(w.am, w.cfg.Layout, desc); ok {
-			return w.am.And(r, w.universe)
-		}
-		w.cutoverLocked()
-	}
-	return w.space.E.And(w.space.Compile(desc), w.universe)
-}
-
-// cutoverLocked converts the subspace's whole atom state to a fresh
-// BDD engine — the hybrid guard's one-way exit. Every live atom ref
-// (the Roots set) is rebuilt as an OR of prefix cubes, held refs are
-// rewritten through the conversion remap, the Fast IMT transformer is
-// rebound, and counter history survives via base exactly as it does
-// across a Compact rotation. Callers hold w.mu.
-func (w *mbWorker) cutoverLocked() {
-	space := hs.NewSpace(w.cfg.Layout)
-	remap := atomConvert(w.am, space, w.Roots)
-	w.base.absorb(w.am)
-	w.universe = remap.Apply(w.universe)
-	w.transform.RemapRefs(remap)
-	w.transform.E = space.E
-	if w.batch != nil {
-		w.batch.RemapRefs(remap)
-	}
-	w.space = space
-	w.eng = space.E
-	w.am = nil
-	w.cutovers++
-}
-
-// maybeReclaimLocked enforces the memory budget after applied work:
-// first the cheap in-engine GC, then — only when the live state itself
-// exceeds the budget — the full Compact rotation, with compactFloor
-// guarding against rotating on every block once even a rotation cannot
-// fit the budget. Callers hold w.mu.
-func (w *mbWorker) maybeReclaimLocked() error {
-	budget := w.cfg.MemoryBudget
-	if budget <= 0 || w.eng.NumNodes() <= budget {
-		return nil
-	}
-	w.gcLocked()
-	if w.am != nil {
-		// Atom GC is already complete reclamation: the engine holds
-		// exactly the live interval sets afterwards, and there is no
-		// shared structure a rotation could deduplicate further.
-		return nil
-	}
-	if w.eng.NumNodes() <= budget {
-		w.compactFloor = 0
-		return nil
-	}
-	if w.compactFloor > budget {
-		return nil
-	}
-	if err := w.compactLocked(); err != nil {
-		return err
-	}
-	if n := w.eng.NumNodes(); n > budget {
-		w.compactFloor = n
-	} else {
-		w.compactFloor = 0
-	}
-	return nil
-}
+func (w *mbWorker) rebindRole(e pred.Engine) { w.transform.E = e }
 
 // NewModelBuilder creates a builder from the given options. A bare
 // Config value is accepted as an option (the original struct API), so
@@ -725,85 +462,24 @@ func NewModelBuilder(opts ...Option) *ModelBuilder {
 	cfg := buildConfig(opts)
 	b := &ModelBuilder{cfg: cfg}
 	for i := 0; i < cfg.numSubspaces(); i++ {
-		w := &mbWorker{cfg: cfg, idx: i}
-		if cfg.PredicateMode == PredicateHybrid {
-			if am, uni, ok := newAtomSubspace(cfg, i); ok {
-				w.am, w.eng, w.universe = am, am, uni
-			}
-		}
-		if w.am == nil {
-			space := hs.NewSpace(cfg.Layout)
-			w.space = space
-			w.eng = space.E
-			w.universe = cfg.subspacePreds(space)[i]
-		}
+		w := &mbWorker{}
+		w.start(cfg, i, nil, w)
 		w.transform = imt.NewTransformer(w.eng, pat.NewStore(), w.universe)
 		w.transform.PerUpdate = cfg.PerUpdate
 		w.transform.Tag = "mb/subspace" + strconv.Itoa(i)
+		reg := cfg.Metrics.Sub("imt").Sub("subspace" + strconv.Itoa(i))
 		if cfg.Batch > 1 {
 			w.batch = imt.NewBatcher(w.transform, cfg.Batch)
+			w.batch.Instrument(reg)
 		}
-		if reg := cfg.Metrics.Sub("imt").Sub("subspace" + strconv.Itoa(i)); reg != nil {
-			w.metrics = reg
-			w.gcPauseNs = reg.Histogram("bdd_gc_pause_ns")
-			w.transform.Instrument(reg)
-			if w.batch != nil {
-				w.batch.Instrument(reg)
-			}
-			instrumentWorkerEngine(reg, &w.mu,
-				func() (pred.Engine, *pat.Store) { return w.eng, w.transform.Store },
-				func() engineCounterBase { return w.base })
-		}
+		w.instrument(reg)
+		w.transform.Instrument(reg)
+		reg.Func("pat_nodes", w.sample(func() uint64 { return uint64(w.transform.Store.NumNodes()) }))
 		b.workers = append(b.workers, w)
 	}
 	b.pool = sched.NewPool(cfg.Workers, len(b.workers))
 	b.pool.Instrument(cfg.Metrics.Sub("sched"))
 	return b
-}
-
-// instrumentWorkerEngine registers sampled gauges for a subspace
-// worker's BDD engine and PAT store. The engine is single-owner state
-// guarded by the worker's mutex, so the gauges are Func callbacks that
-// take the lock at snapshot time rather than counters on the hot path
-// (Table 3's "# Predicate Operations" and the §5.5 memory proxies).
-// state is re-read on every sample because Compact rotates the engine;
-// base supplies the rotated-away counter history so every counter-like
-// gauge stays monotone across rotations (bdd_nodes alone is an honest
-// gauge of live nodes — the GC sawtooth is its signal).
-func instrumentWorkerEngine(reg *obs.Registry, mu *sync.Mutex, state func() (pred.Engine, *pat.Store), base func() engineCounterBase) {
-	sample := func(f func(pred.Engine, *pat.Store, engineCounterBase) int64) func() int64 {
-		return func() int64 {
-			mu.Lock()
-			defer mu.Unlock()
-			e, ps := state()
-			return f(e, ps, base())
-		}
-	}
-	reg.Func("bdd_nodes", sample(func(e pred.Engine, _ *pat.Store, _ engineCounterBase) int64 { return int64(e.NumNodes()) }))
-	reg.Func("bdd_ops", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 { return int64(b.ops + e.Ops()) }))
-	reg.Func("bdd_cache_hits", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		h, _ := e.CacheStats()
-		return int64(b.cacheHits + h)
-	}))
-	reg.Func("bdd_cache_misses", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		_, m := e.CacheStats()
-		return int64(b.cacheMisses + m)
-	}))
-	reg.Func("bdd_cache_evictions", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		return int64(b.cacheEvictions + e.CacheEvictions())
-	}))
-	reg.Func("bdd_gc_runs", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		return int64(b.gcRuns + e.GCRuns())
-	}))
-	reg.Func("bdd_gc_reclaimed_nodes", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		return int64(b.gcReclaimed + e.ReclaimedNodes())
-	}))
-	reg.Func("pat_nodes", sample(func(_ pred.Engine, ps *pat.Store, _ engineCounterBase) int64 {
-		if ps == nil {
-			return 0
-		}
-		return int64(ps.NumNodes())
-	}))
 }
 
 // NumSubspaces reports the number of parallel subspace workers.
@@ -814,32 +490,12 @@ func (b *ModelBuilder) NumSubspaces() int { return len(b.workers) }
 // PredicateBDD every entry is "bdd"; under PredicateHybrid an entry
 // flips from "atoms" to "bdd" permanently when the subspace's cutover
 // guard fires (see WithPredicateMode).
-func (b *ModelBuilder) PredicateModes() []string {
-	out := make([]string, len(b.workers))
-	for i, w := range b.workers {
-		w.mu.Lock()
-		if w.am != nil {
-			out[i] = "atoms"
-		} else {
-			out[i] = "bdd"
-		}
-		w.mu.Unlock()
-	}
-	return out
-}
+func (b *ModelBuilder) PredicateModes() []string { return predicateModes(b.workers) }
 
 // PredicateCutovers reports the total number of atom-to-BDD cutovers
 // that have fired across subspace workers. Each subspace converts at
 // most once, so the count is bounded by the subspace count.
-func (b *ModelBuilder) PredicateCutovers() int {
-	total := 0
-	for _, w := range b.workers {
-		w.mu.Lock()
-		total += w.cutovers
-		w.mu.Unlock()
-	}
-	return total
-}
+func (b *ModelBuilder) PredicateCutovers() int { return predicateCutovers(b.workers) }
 
 // ApplyBlock feeds one batch of per-device symbolic update blocks to all
 // subspace workers via the work-stealing scheduler. Every rule must
@@ -908,7 +564,8 @@ func (w *mbWorker) flush() (err error) {
 	if err := w.batch.Flush(); err != nil {
 		return err
 	}
-	return w.maybeReclaimLocked()
+	w.maybeGCLocked()
+	return nil
 }
 
 // DeviceBlock is a block of symbolic updates for one device.
@@ -927,15 +584,7 @@ func (w *mbWorker) apply(blocks []DeviceBlock, routes routeTable) (err error) {
 			err = fmt.Errorf("flash: subspace worker panic: %v", r)
 		}
 	}()
-	// A cutover firing mid-batch invalidates the matches compiled before
-	// it in this very loop: they are atom refs held only in locals here,
-	// invisible to the conversion remap. Recompile the whole batch on the
-	// post-cutover engine — the cutover is one-way, so at most once.
-	before := w.cutovers
-	compiled := compileBlocks(w, w.idx, blocks, routes)
-	if w.cutovers != before {
-		compiled = compileBlocks(w, w.idx, blocks, routes)
-	}
+	compiled := w.compileBlocks(blocks, routes)
 	if w.batch != nil {
 		err = w.batch.Add(compiled)
 	} else {
@@ -944,14 +593,15 @@ func (w *mbWorker) apply(blocks []DeviceBlock, routes routeTable) (err error) {
 	if err != nil {
 		return err
 	}
-	return w.maybeReclaimLocked()
+	w.maybeGCLocked()
+	return nil
 }
 
 // GC forces an immediate mark-and-sweep pass on every subspace engine,
 // returning the total node count reclaimed. Unlike Compact it keeps the
 // engines (and their counter history) and releases only unreachable
-// nodes — it is the cheap reclamation the MemoryBudget watermark
-// triggers automatically. Pending batches are flushed first.
+// nodes — it is the reclamation the MemoryBudget watermark triggers
+// automatically. Pending batches are flushed first.
 func (b *ModelBuilder) GC() (int, error) {
 	b.dispatchMu.Lock()
 	defer b.dispatchMu.Unlock()
@@ -968,12 +618,11 @@ func (b *ModelBuilder) GC() (int, error) {
 	return total, nil
 }
 
-// Compact rebuilds every subspace worker onto a fresh BDD engine from
-// the symbolic descriptors of its installed rules. It is the heavyweight
-// reclamation: where GC sweeps nodes no held ref can reach, a rotation
-// also de-duplicates the live structure itself (re-compiling from
-// descriptors rebuilds each predicate minimally), at the cost of
-// re-running the whole Fast IMT pipeline. Every installed rule must
+// Compact rebuilds every subspace worker onto a fresh BDD engine and a
+// fresh PAT store from the symbolic descriptors of its installed rules,
+// re-running the whole Fast IMT pipeline. It never runs automatically
+// (the MemoryBudget watermark only collects); it is the one way to
+// reclaim PAT nodes, which no GC reaches. Every installed rule must
 // carry a symbolic descriptor. Counter history survives rotation via
 // the per-worker base (PredicateOps/CacheStats stay monotone).
 func (b *ModelBuilder) Compact() error {
@@ -998,28 +647,16 @@ func (w *mbWorker) compact() (err error) {
 			err = fmt.Errorf("flash: subspace worker panic during compact: %v", r)
 		}
 	}()
-	return w.compactLocked()
-}
-
-// compactLocked rotates the worker onto a fresh engine, folding the old
-// engine's counters into the base first so exported totals never drop.
-// An atom-mode worker runs a GC pass instead: atoms hold exactly the
-// live interval sets after collection, so a rotation has nothing left
-// to deduplicate. Callers hold w.mu.
-func (w *mbWorker) compactLocked() error {
+	// An atom-mode worker runs a GC pass instead: atoms hold exactly the
+	// live interval sets after collection, so a rotation has nothing left
+	// to deduplicate.
 	if w.am != nil {
 		w.gcLocked()
 		return nil
 	}
-	cfg := w.cfg
-	space := hs.NewSpace(cfg.Layout)
-	var universe bdd.Ref = bdd.True
-	if cfg.Subspaces > 1 {
-		// Recompute this worker's subspace predicate on the new engine.
-		universe = cfg.subspacePreds(space)[w.idx]
-	}
+	space, universe := w.newBDD(nil)
 	tr := imt.NewTransformer(space.E, pat.NewStore(), universe)
-	tr.PerUpdate = cfg.PerUpdate
+	tr.PerUpdate = w.cfg.PerUpdate
 	tr.Tag = w.transform.Tag
 	tr.Instrument(w.metrics) // rotation keeps the same metric handles
 	var blocks []fib.Block
@@ -1043,20 +680,13 @@ func (w *mbWorker) compactLocked() error {
 	if err := tr.ApplyBlock(blocks); err != nil {
 		return err
 	}
-	// The rotation is committed: fold the outgoing engine's counters
-	// into the base so exported totals stay monotone.
-	w.base.absorb(w.eng)
-	w.space = space
-	w.eng = space.E
-	w.universe = universe
+	w.rotateLocked(space, universe)
 	w.transform = tr
 	if w.batch != nil {
 		// The batcher is empty here (Compact flushes first); rebind it to
 		// the rotated transformer.
 		w.batch = imt.NewBatcher(tr, w.batch.Max)
-		if w.metrics != nil {
-			w.batch.Instrument(w.metrics)
-		}
+		w.batch.Instrument(w.metrics)
 	}
 	return nil
 }
@@ -1123,45 +753,26 @@ type System struct {
 	feedHook func(subspace int, m Msg)
 }
 
-// sysWorker owns one subspace: universe is minted by eng, the worker's
-// single active engine (space.E in BDD mode, am in the hybrid atom
-// regime), which the dispatcher's verifier factory also reads.
-//
-//flashvet:allow bddref — universe is owned by eng, the worker's single engine
+// sysWorker is one System subspace: the core plus the compiled checks,
+// the CE2D dispatcher with its per-epoch verifiers, and the snapshot
+// pins.
 type sysWorker struct {
-	mu  sync.Mutex //flashvet:lockrank 20
-	cfg Config
-	idx int
-	// eng is the active predicate engine; exactly one of space/am backs
-	// it (see mbWorker).
-	eng      pred.Engine
-	space    *hs.Space
-	am       *atoms.Engine
-	universe bdd.Ref
-	// cutovers counts one-way atom→BDD conversions (0 or 1).
-	cutovers int
+	subspace
 	// checks is the worker-owned compiled check set; the verifier
-	// factory reads it (not a captured snapshot) so verifiers created
-	// after a GC see the remapped Spaces.
+	// factory reads it (not a captured copy) so verifiers created after
+	// a GC or cutover see the rewritten spaces.
 	checks []ce2d.Check
-	budget int // cfg.MemoryBudget; <= 0 disables automatic GC
 	disp   *ce2d.Dispatcher
 	// snaps pins live Snapshot captures: each holds a cloned transformer
 	// whose refs must survive GC until the snapshot is released.
-	snaps     []*snapSub
-	feedNs    *obs.Histogram // per-message verification latency (nil = off)
-	gcPauseNs *obs.Histogram // stop-the-world GC pause (nil = off)
+	snaps  []*snapSub
+	feedNs *obs.Histogram // per-message verification latency (nil = off)
 }
 
-// Roots enumerates every BDD ref the subspace holds: the universe, the
-// variable cache, each compiled check space, pinned snapshot captures,
+// roleRoots yields each compiled check space, pinned snapshot captures,
 // and — via the dispatcher — the queued messages and every live
-// per-epoch verifier. It is the worker's GC root set.
-func (w *sysWorker) Roots(yield func(bdd.Ref)) {
-	yield(w.universe)
-	if w.space != nil {
-		w.space.Roots(yield)
-	}
+// per-epoch verifier.
+func (w *sysWorker) roleRoots(yield func(bdd.Ref)) {
 	for i := range w.checks {
 		yield(w.checks[i].Space)
 	}
@@ -1171,74 +782,74 @@ func (w *sysWorker) Roots(yield func(bdd.Ref)) {
 	w.disp.Roots(yield)
 }
 
-// gcLocked runs a mark-and-sweep pass on the subspace engine and
-// rewrites all held refs. Callers hold w.mu.
-func (w *sysWorker) gcLocked() bdd.GCStats {
-	start := time.Now()
-	remap, st := w.eng.GC(w.Roots)
-	w.universe = remap.Apply(w.universe)
-	if w.space != nil {
-		w.space.RemapRefs(remap)
-	}
+func (w *sysWorker) remapRole(m bdd.Remap) {
 	for i := range w.checks {
-		w.checks[i].Space = remap.Apply(w.checks[i].Space)
+		w.checks[i].Space = m.Apply(w.checks[i].Space)
 	}
 	for _, ss := range w.snaps {
-		ss.trans.RemapRefs(remap)
+		ss.trans.RemapRefs(m)
 	}
-	w.disp.RemapRefs(remap)
-	w.gcPauseNs.Observe(time.Since(start))
-	return st
+	w.disp.RemapRefs(m)
 }
 
-// compileLocked compiles a rule match on the active engine,
-// intersected with the subspace universe, cutting the subspace over to
-// BDD first when atoms cannot hold the descriptor. Callers hold w.mu.
-func (w *sysWorker) compileLocked(desc fib.MatchDesc) bdd.Ref {
-	if w.am != nil {
-		if r, ok := atomCompile(w.am, w.cfg.Layout, desc); ok {
-			return w.am.And(r, w.universe)
-		}
-		w.cutoverLocked()
-	}
-	return w.space.E.And(w.space.Compile(desc), w.universe)
-}
-
-// cutoverLocked converts the subspace's whole atom state — universe,
-// compiled check spaces, queued dispatcher messages, every live
-// per-epoch verifier, and any pinned snapshot captures — to a fresh
-// BDD engine, one way. A what-if transaction can trigger it exactly
-// like a live feed (both funnel through compileLocked). Callers hold
-// w.mu.
-func (w *sysWorker) cutoverLocked() {
-	space := hs.NewSpace(w.cfg.Layout)
-	remap := atomConvert(w.am, space, w.Roots)
-	w.universe = remap.Apply(w.universe)
-	for i := range w.checks {
-		w.checks[i].Space = remap.Apply(w.checks[i].Space)
-	}
+func (w *sysWorker) rebindRole(e pred.Engine) {
 	for _, ss := range w.snaps {
-		ss.trans.RemapRefs(remap)
-		ss.trans.E = space.E
+		ss.trans.E = e
 	}
-	w.disp.RemapRefs(remap)
-	w.disp.Rebind(space.E)
-	w.space = space
-	w.eng = space.E
-	w.am = nil
-	w.cutovers++
+	w.disp.Rebind(e)
 }
 
-// maybeGCLocked runs a collection when the engine exceeds the memory
-// budget. The online path has no Compact fallback: per-epoch verifiers
-// cannot be rebuilt from descriptors mid-epoch, so when the live
-// detection state itself exceeds the budget the engine simply stays at
-// its live size (the budget is a watermark, not a hard cap). Callers
-// hold w.mu.
-func (w *sysWorker) maybeGCLocked() {
-	if w.budget > 0 && w.eng.NumNodes() > w.budget {
-		w.gcLocked()
+// newSysWorker builds System subspace idx. restored, when non-nil, is an
+// engine replayed from a checkpoint's node dump: the subspace runs on
+// BDD over it and the caller restores the dispatcher (restore).
+// Otherwise the subspace starts fresh in the configured predicate mode.
+func newSysWorker(cfg Config, idx int, restored *bdd.Engine) (*sysWorker, error) {
+	w := &sysWorker{}
+	w.start(cfg, idx, restored, w)
+	checks, ok, err := compileChecks(cfg, w.compileScope)
+	if err == nil && !ok {
+		// A check space atoms cannot hold (a ternary ACL scope, say) makes
+		// this subspace start on BDD directly rather than cut over on its
+		// first message.
+		w.setBDD(w.newBDD(nil))
+		checks, _, err = compileChecks(cfg, w.compileScope)
 	}
+	if err != nil {
+		return nil, err
+	}
+	w.checks = checks
+	w.disp = ce2d.NewDispatcher(w.newVerifier)
+	// Per-subspace observability: the dispatcher and the engine publish
+	// under ce2d/subspace<i>, and every per-epoch verifier's Fast IMT
+	// transformer shares the nested imt sub-registry, so transform
+	// timings accumulate across epochs. All of it is nil (and therefore
+	// free) without WithMetrics.
+	w.instrument(cfg.Metrics.Sub("ce2d").Sub("subspace" + strconv.Itoa(idx)))
+	w.disp.Instrument(w.metrics)
+	w.feedNs = w.metrics.Histogram("feed_ns")
+	return w, nil
+}
+
+// verifierConfig is the CE2D configuration of a verifier on this
+// subspace. It reads the engine, universe and checks from the worker at
+// call time: a GC or cutover rewrites them, and a verifier created for a
+// later epoch must start from the current refs.
+func (w *sysWorker) verifierConfig() ce2d.Config {
+	return ce2d.Config{
+		Topo:     w.cfg.Topo,
+		Engine:   w.eng,
+		Universe: w.universe,
+		Checks:   w.checks,
+		Succ:     w.cfg.Succ,
+	}
+}
+
+// newVerifier is the dispatcher's per-epoch verifier factory.
+func (w *sysWorker) newVerifier(ce2d.Epoch) *ce2d.Verifier {
+	v := ce2d.NewVerifier(w.verifierConfig())
+	v.Transformer().Tag = "ce2d/subspace" + strconv.Itoa(w.idx)
+	v.Transformer().Instrument(w.metrics.Sub("imt"))
+	return v
 }
 
 // NewSystem builds a System from the given options; checks are compiled
@@ -1247,73 +858,22 @@ func (w *sysWorker) maybeGCLocked() {
 // working.
 func NewSystem(opts ...Option) (*System, error) {
 	cfg := buildConfig(opts)
-	s := &System{cfg: cfg, poisoned: make(map[int]string)}
-	s.bus = newVerdictBus(cfg.Metrics)
-	s.workerPanics = cfg.Metrics.Sub("ce2d").Counter("worker_panics")
+	return newSystem(cfg, func(i int) (*sysWorker, error) { return newSysWorker(cfg, i, nil) })
+}
+
+// newSystem assembles a System from one worker per subspace of the
+// configured set, each built by newWorker.
+func newSystem(cfg Config, newWorker func(idx int) (*sysWorker, error)) (*System, error) {
 	set, err := cfg.subspaceSet(cfg.numSubspaces())
 	if err != nil {
 		return nil, err
 	}
+	s := &System{cfg: cfg, poisoned: make(map[int]string), bus: newVerdictBus(cfg.Metrics)}
+	s.workerPanics = cfg.Metrics.Sub("ce2d").Counter("worker_panics")
 	for _, i := range set {
-		w := &sysWorker{cfg: cfg, idx: i, budget: cfg.MemoryBudget}
-		if cfg.PredicateMode == PredicateHybrid {
-			if am, uni, ok := newAtomSubspace(cfg, i); ok {
-				checks, compiled, err := compileChecks(cfg, func(d MatchDesc) (bdd.Ref, bool) {
-					return atomCompile(am, cfg.Layout, d)
-				})
-				if err != nil {
-					return nil, err
-				}
-				// A check space atoms cannot hold (a ternary ACL scope,
-				// say) makes this subspace start on BDD directly rather
-				// than cut over on its first message.
-				if compiled {
-					w.am, w.eng, w.universe, w.checks = am, am, uni, checks
-				}
-			}
-		}
-		if w.am == nil {
-			space := hs.NewSpace(cfg.Layout)
-			checks, _, err := compileChecks(cfg, func(d MatchDesc) (bdd.Ref, bool) {
-				return space.Compile(d), true
-			})
-			if err != nil {
-				return nil, err
-			}
-			w.space = space
-			w.eng = space.E
-			w.universe = cfg.subspacePreds(space)[i]
-			w.checks = checks
-		}
-		// Per-subspace observability: the dispatcher publishes CE2D
-		// progress under ce2d/subspace<i>, and every per-epoch verifier's
-		// Fast IMT transformer shares the nested imt sub-registry, so
-		// transform timings accumulate across epochs. All of it is nil
-		// (and therefore free) without WithMetrics.
-		sreg := cfg.Metrics.Sub("ce2d").Sub("subspace" + strconv.Itoa(i))
-		ireg := sreg.Sub("imt")
-		// The factory reads universe/checks from the worker, not the loop
-		// locals: a GC remaps those fields, and a verifier created for a
-		// later epoch must start from the post-GC refs.
-		w.disp = ce2d.NewDispatcher(func(ce2d.Epoch) *ce2d.Verifier {
-			v := ce2d.NewVerifier(ce2d.Config{
-				Topo:     cfg.Topo,
-				Engine:   w.eng,
-				Universe: w.universe,
-				Checks:   w.checks,
-				Succ:     cfg.Succ,
-			})
-			v.Transformer().Tag = "ce2d/subspace" + strconv.Itoa(i)
-			v.Transformer().Instrument(ireg)
-			return v
-		})
-		w.disp.Instrument(sreg)
-		if sreg != nil {
-			w.feedNs = sreg.Histogram("feed_ns")
-			w.gcPauseNs = sreg.Histogram("bdd_gc_pause_ns")
-			instrumentWorkerEngine(sreg, &w.mu,
-				func() (pred.Engine, *pat.Store) { return w.eng, nil },
-				func() engineCounterBase { return engineCounterBase{} })
+		w, err := newWorker(i)
+		if err != nil {
+			return nil, err
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -1341,32 +901,12 @@ func (s *System) Logger() *log.Logger { return s.cfg.Logger }
 // Under PredicateBDD every entry is "bdd"; under PredicateHybrid an
 // entry flips from "atoms" to "bdd" permanently when the subspace's
 // cutover guard fires (see WithPredicateMode).
-func (s *System) PredicateModes() []string {
-	out := make([]string, len(s.workers))
-	for i, w := range s.workers {
-		w.mu.Lock()
-		if w.am != nil {
-			out[i] = "atoms"
-		} else {
-			out[i] = "bdd"
-		}
-		w.mu.Unlock()
-	}
-	return out
-}
+func (s *System) PredicateModes() []string { return predicateModes(s.workers) }
 
 // PredicateCutovers reports the total number of atom-to-BDD cutovers
 // that have fired across subspace workers. Each subspace converts at
 // most once, so the count is bounded by the subspace count.
-func (s *System) PredicateCutovers() int {
-	total := 0
-	for _, w := range s.workers {
-		w.mu.Lock()
-		total += w.cutovers
-		w.mu.Unlock()
-	}
-	return total
-}
+func (s *System) PredicateCutovers() int { return predicateCutovers(s.workers) }
 
 // compileChecks builds the worker-owned check set, compiling each check
 // scope through the supplied predicate compiler. compile reports
@@ -1754,13 +1294,9 @@ func (w *sysWorker) feedOne(m Msg, routes []route) ([]Result, error) {
 	if w.feedNs != nil {
 		start = time.Now()
 	}
-	// Matches compiled before a mid-message cutover are stale atom refs
-	// held only in this loop's locals; recompile the whole message on the
-	// post-cutover engine (one-way guard, so at most one restart).
-	before := w.cutovers
-	ups := compileUpdates(w, w.idx, m.Updates, routes)
-	if w.cutovers != before {
-		ups = compileUpdates(w, w.idx, m.Updates, routes)
+	var ups []fib.Update
+	if blocks := w.compileBlocks([]DeviceBlock{{Device: m.Device, Updates: m.Updates}}, routeTable{routes}); len(blocks) > 0 {
+		ups = blocks[0].Updates
 	}
 	evs, err := w.disp.Receive(ce2d.Msg{Device: m.Device, Epoch: ce2d.Epoch(m.Epoch), Updates: ups})
 	if err != nil {
@@ -1768,39 +1304,10 @@ func (w *sysWorker) feedOne(m Msg, routes []route) ([]Result, error) {
 	}
 	out := make([]Result, 0, len(evs))
 	for _, te := range evs {
-		r := Result{
-			Subspace: w.idx,
-			Epoch:    string(te.Epoch),
-			Check:    te.Event.Check,
-			Verdict:  te.Event.Verdict,
-			Loop:     te.Event.Loop,
-		}
-		if asg := w.eng.AnySat(te.Event.Class); asg != nil {
-			r.Witness = headerFromAssignment(w.cfg.Layout, asg)
-		}
-		out = append(out, r)
+		out = append(out, w.result(te.Epoch, te.Event))
 	}
 	if w.feedNs != nil {
 		w.feedNs.Observe(time.Since(start))
 	}
 	return out, nil
-}
-
-// headerFromAssignment reconstructs per-field values from an engine
-// assignment (both representations use variable i = line bit i).
-func headerFromAssignment(lay *hs.Layout, asg []bool) []uint64 {
-	out := make([]uint64, len(lay.Fields()))
-	bit := 0
-	for fi, f := range lay.Fields() {
-		var v uint64
-		for b := 0; b < f.Bits; b++ {
-			v <<= 1
-			if asg[bit] {
-				v |= 1
-			}
-			bit++
-		}
-		out[fi] = v
-	}
-	return out
 }

@@ -20,9 +20,9 @@
 // simulation could not see (a branch that skips the unlock, a loop
 // carrying the lock around). A deferred unlock does not release — the
 // lock is held for the rest of the function, which is exactly the
-// pattern the check exists to catch. Worker-internal files (flash.go's
-// mbWorker/sysWorker own their engines and their mutexes together) are
-// out of scope; the rank-based ordering between named locks is
+// pattern the check exists to catch. Worker-internal files (the
+// subspace core in subspace.go owns its engine and its mutex together)
+// are out of scope; the rank-based ordering between named locks is
 // lockorder's job.
 package lockbdd
 

@@ -4,7 +4,7 @@
 // DESIGN.md §6):
 //
 //	System.dispatchMu / ModelBuilder.dispatchMu  rank 10
-//	sysWorker.mu / mbWorker.mu                   rank 20
+//	subspace.mu (each worker's core)             rank 20
 //	verdictBus.mu                                rank 30
 //	Snapshot.mu                                  rank 40
 //

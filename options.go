@@ -127,11 +127,9 @@ func WithBatch(n int) Option {
 
 // WithMemoryBudget bounds each subspace worker's live BDD node count
 // (see Config.MemoryBudget): an engine grown past the budget runs an
-// in-engine mark-and-sweep GC after the block that crossed it, and a
-// ModelBuilder worker falls back to a full Compact rotation when
-// collection alone cannot fit the budget. Reclamation never changes
-// models or verdicts — only when nodes are released. n <= 0 (the
-// default) disables automatic reclamation.
+// in-engine mark-and-sweep GC after the block that crossed it.
+// Reclamation never changes models or verdicts — only when nodes are
+// released. n <= 0 (the default) disables automatic reclamation.
 func WithMemoryBudget(n int) Option {
 	return optionFunc(func(c *Config) { c.MemoryBudget = n })
 }

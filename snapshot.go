@@ -170,7 +170,7 @@ func (sn *Snapshot) Apply(ctx context.Context, blocks []DeviceBlock) ([]Result, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rs, err := ss.whatIf(sn.sys.cfg, blocks, routes)
+		rs, err := ss.whatIf(blocks, routes)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func (s *System) WhatIf(ctx context.Context, blocks []DeviceBlock) ([]Result, er
 // (compiled matches, forked model growth, verifier detection state)
 // need no GC rooting: collection on this engine only runs under w.mu,
 // and everything transient is dead before the mutex is released.
-func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock, routes routeTable) (results []Result, err error) {
+func (ss *snapSub) whatIf(blocks []DeviceBlock, routes routeTable) (results []Result, err error) {
 	w := ss.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -209,15 +209,8 @@ func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock, routes routeTable) (
 	// routing, compile and hybrid cutover guard as the live feed path (a
 	// hypothetical ternary rule converts the subspace to BDD exactly as
 	// feeding it live would); a block whose rules all miss the universe
-	// does not touch it. A mid-transaction cutover invalidates matches
-	// compiled earlier in the loop (stale atom refs in locals), so
-	// everything is recompiled on the post-cutover engine — the guard is
-	// one-way, so at most one restart.
-	before := w.cutovers
-	compiled := compileBlocks(w, w.idx, blocks, routes)
-	if w.cutovers != before {
-		compiled = compileBlocks(w, w.idx, blocks, routes)
-	}
+	// does not touch it.
+	compiled := w.compileBlocks(blocks, routes)
 	if len(compiled) == 0 {
 		return nil, nil // subspace unaffected
 	}
@@ -230,13 +223,7 @@ func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock, routes routeTable) (
 
 	// Re-verify from scratch against the forked tables: detection state
 	// is one-shot per device, so each what-if gets a fresh verifier.
-	v := ce2d.NewVerifier(ce2d.Config{
-		Topo:     cfg.Topo,
-		Engine:   w.eng,
-		Universe: w.universe,
-		Checks:   w.checks,
-		Succ:     cfg.Succ,
-	})
+	v := ce2d.NewVerifier(w.verifierConfig())
 	devs := append([]fib.DeviceID(nil), ss.synced...)
 	for _, fb := range compiled {
 		devs = append(devs, fb.Device) // duplicates are skipped below
@@ -253,17 +240,7 @@ func (ss *snapSub) whatIf(cfg Config, blocks []DeviceBlock, routes routeTable) (
 			return nil, fmt.Errorf("flash: what-if in subspace %d: %w", w.idx, serr)
 		}
 		for _, ev := range evs {
-			r := Result{
-				Subspace: w.idx,
-				Epoch:    string(ss.epoch),
-				Check:    ev.Check,
-				Verdict:  ev.Verdict,
-				Loop:     ev.Loop,
-			}
-			if asg := w.eng.AnySat(ev.Class); asg != nil {
-				r.Witness = headerFromAssignment(w.cfg.Layout, asg)
-			}
-			results = append(results, r)
+			results = append(results, w.result(ss.epoch, ev))
 		}
 	}
 	return results, nil

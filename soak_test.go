@@ -97,7 +97,7 @@ func TestSoakMemoryBudgetBounded(t *testing.T) {
 			if err := b.ApplyBlock(soakBlocks(batch)); err != nil {
 				t.Fatal(err)
 			}
-			for i, n := range b.WorkerNodeCounts() {
+			for i, n := range workerNodeCounts(b.workers) {
 				if n > peak[i] {
 					peak[i] = n
 				}
@@ -261,7 +261,7 @@ func TestChaosGCUnderPoisoning(t *testing.T) {
 	}
 	// Healthy subspaces kept collecting: their live node counts must not
 	// have grown unboundedly past the watermark.
-	for i, n := range sys.WorkerNodeCounts() {
+	for i, n := range workerNodeCounts(sys.workers) {
 		if i == 1 {
 			continue // quarantined mid-stream; its engine is frozen as-is
 		}

@@ -84,8 +84,8 @@ type StatsSnapshot struct {
 	Subspaces int `json:"subspaces"`
 	// Scheduler counts work-stealing scheduler activity.
 	Scheduler SchedulerStats `json:"scheduler"`
-	// Cache sums the ITE computed-cache counters across engines,
-	// including engines rotated away by Compact.
+	// Cache sums the memo-cache counters across engines, including
+	// engines retired by a cutover or Compact.
 	Cache CacheStats `json:"cache"`
 	// GC sums in-engine mark-and-sweep activity.
 	GC GCStats `json:"gc"`
@@ -113,7 +113,7 @@ type StatsSnapshot struct {
 
 // addEngine folds one worker's engine counters and live node count into
 // the snapshot. Engines are single-owner and their counters plain words:
-// callers read them (engineCounterBase.absorb) under the worker's mutex,
+// callers read them (subspace.countersLocked) under the worker's mutex,
 // which also makes each worker's hits, misses and ops one coherent
 // sample.
 func (out *StatsSnapshot) addEngine(c engineCounterBase, nodes int) {
@@ -140,9 +140,7 @@ func (b *ModelBuilder) StatsSnapshot() StatsSnapshot {
 		out.Transform.add(w.transform.Stats())
 		out.ECs += w.transform.Model().Len()
 		out.MemoryNodes += w.transform.Store.NumNodes()
-		total := w.base // counters of engines Compact and cutover rotated away
-		total.absorb(w.eng)
-		out.addEngine(total, w.eng.NumNodes())
+		out.addEngine(w.countersLocked(), w.eng.NumNodes())
 		w.mu.Unlock()
 	}
 	return out
@@ -164,9 +162,7 @@ func (s *System) StatsSnapshot() StatsSnapshot {
 			out.ECs += tr.Model().Len()
 			out.MemoryNodes += tr.Store.NumNodes()
 		})
-		var total engineCounterBase
-		total.absorb(w.eng)
-		out.addEngine(total, w.eng.NumNodes())
+		out.addEngine(w.countersLocked(), w.eng.NumNodes())
 		w.mu.Unlock()
 	}
 	out.Poisoned = s.PoisonedSubspaces()
